@@ -35,6 +35,9 @@ Stress and tangent follow from the invariant chain rule:
     S  = 2 sum_i c_i B_i (+ S_sn in linear-C form),   B_i = dI_i/dC
     CC = 4 [ sum_ij (d2Psi/dI_i dI_j) B_i (x) B_j + sum_i c_i d2I_i/dC dC ]
 
+Both come from one shared evaluation; the tangent is assembled directly in
+6x6 component form from the packed bases and tc.curvature_66.
+
 This module also hosts the fused reverse-mode gradient of the stress-fitting
 loss with respect to network weights, activity logits and orientation, built
 on picnn.backprop; every chain is finite-difference checked in the tests.
@@ -291,57 +294,76 @@ def psi(model, C, D, structure=None, check=False):
     return float(out[0]) if single else out
 
 
-def stress(model, C, D, structure=None, check=False):
-    """Second Piola-Kirchhoff stress S = 2 dPsi/dC, shape (..., 3, 3)."""
+def _response(model, C, D, structure=None, want_stress=True, want_tangent=False,
+              with_sn=True, check=False):
+    """One constitutive evaluation behind stress and tangent: (S, CC66).
+
+    Invariants, bases, the network pass, np.unique(D) and the normalization
+    are computed once and shared by whichever of S and CC66 is wanted.
+    """
     C, D, single = _batched_CD(model, C, D)
     if check:
         tc.check_metric(C)
-    n = model.config.n_active
+    cfg = model.config
+    n = cfg.n_active
     N1, N2, a1, a2 = _resolve_structure(model, structure)
     I = tc.invariants(C, N1, N2, a1, a2, n)
-    _, g = picnn.value_and_grad(model.net, I, D)
-    uD, inv = np.unique(D, axis=0, return_inverse=True)
-    inv = inv.ravel()
-    nc = normalization_coefficients(model, uD, structure)
+    J = I[:, 2]
+    _, g, cache = picnn.value_and_grad(model.net, I, D, return_cache=True)
     c = g.copy()
-    c[:, 2] += growth_coefficient(I[:, 2], model.config.gamma)
-    if nc.c_sn is not None:
-        c = c + nc.c_sn[inv]
+    c[:, 2] += growth_coefficient(J, cfg.gamma)
+    c_sn = T_ref = None
+    if want_stress or (with_sn and cfg.mode != "nonpoly_linearC"):
+        uD, inv = np.unique(D, axis=0, return_inverse=True)
+        inv = inv.ravel()
+        nc = normalization_coefficients(model, uD, structure)
+        c_sn = None if nc.c_sn is None else nc.c_sn[inv]
+        T_ref = None if nc.T_ref is None else nc.T_ref[inv]
     B = tc.invariant_bases(C, N1, N2, a1, a2, n)
-    S = 2.0 * np.einsum("bi,bijk->bjk", c, B, optimize=True)
-    if nc.T_ref is not None:
-        S = S - 2.0 * nc.T_ref[inv]
-    return S[0] if single else S
+    S = M = None
+    if want_stress:
+        S = 2.0 * np.einsum("bi,bijk->bjk", c if c_sn is None else c + c_sn, B, optimize=True)
+        if T_ref is not None:
+            S = S - 2.0 * T_ref
+    if want_tangent:
+        H = picnn.hess_inputs(model.net, I, D, cache=cache)
+        H[:, 2, 2] += growth_curvature(J, cfg.gamma)
+        if with_sn and c_sn is not None:
+            c = c + c_sn
+        B6 = tc.sym_to_6(B)
+        M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
+        M += tc.curvature_66(C, c, N1, N2, a1, a2, n)
+        M *= 4.0
+    if single:
+        S = None if S is None else S[0]
+        M = None if M is None else M[0]
+    return S, M
 
 
-def tangent(model, C, D, structure=None, with_sn=True):
+def stress(model, C, D, structure=None, check=False):
+    """Second Piola-Kirchhoff stress S = 2 dPsi/dC, shape (..., 3, 3)."""
+    return _response(model, C, D, structure, check=check)[0]
+
+
+def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
     """Material tangent CC = 4 d2Psi/dC dC in 6x6 component form.
+
+    Built directly in 6x6 form as 4 [B6^T H B6 + sum_i c_i d2I_i/dC2],
+    with B6 the packed bases, H the input Hessian of the network plus the
+    growth curvature, and the second sum from tc.curvature_66.
 
     with_sn toggles the stress-normalization contribution. In coefficient
     form that contribution enters through the sum of c_i d2I_i/dC2; in the
     linear-C form Psi_sn is affine in C, so the flag changes nothing and the
     two results are bitwise identical.
+
+    return_stress=True returns (S, CC) from the same evaluation, so a
+    Newton iteration needs one constitutive call; S always carries the
+    stress normalization.
     """
-    C, D, single = _batched_CD(model, C, D)
-    n = model.config.n_active
-    N1, N2, a1, a2 = _resolve_structure(model, structure)
-    I = tc.invariants(C, N1, N2, a1, a2, n)
-    _, g = picnn.value_and_grad(model.net, I, D)
-    H = picnn.hess_inputs(model.net, I, D).copy()
-    J = I[:, 2]
-    H[:, 2, 2] += growth_curvature(J, model.config.gamma)
-    c = g.copy()
-    c[:, 2] += growth_coefficient(J, model.config.gamma)
-    if with_sn and model.config.mode != "nonpoly_linearC":
-        uD, inv = np.unique(D, axis=0, return_inverse=True)
-        nc = normalization_coefficients(model, uD, structure)
-        c = c + nc.c_sn[inv.ravel()]
-    B6 = tc.sym_to_6(tc.invariant_bases(C, N1, N2, a1, a2, n))
-    D2 = tc.tensor4_to_66(tc.invariant_second_derivatives(C, N1, N2, a1, a2, n))
-    M = np.einsum("bpq,bpa,bqc->bac", H, B6, B6, optimize=True)
-    M += np.einsum("bi,biac->bac", c, D2)
-    M *= 4.0
-    return M[0] if single else M
+    S, M = _response(model, C, D, structure, want_stress=return_stress, want_tangent=True,
+                     with_sn=with_sn)
+    return (S, M) if return_stress else M
 
 
 # ---------------------------------------------------------------------------

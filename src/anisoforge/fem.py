@@ -6,9 +6,12 @@ residual with the consistent tangent
 
     K_aibj = int dN_a/dX_M (delta_ij S_MN + F_iK CC_KMNQ F_jQ) dN_b/dX_N dV,
 
-and dense solves (the meshes of interest stay in the hundreds of nodes).
-All quadrature points of all elements go to the constitutive model in one
-batch per Newton iteration, so the network is evaluated once per iteration.
+assembled per element in Voigt form as sum_q w_q (B^T CC66 B + geometric
+term), with B the 6x24 strain-displacement matrix of F and dN/dX, and
+dense solves (the meshes of interest stay in the hundreds of nodes). All
+quadrature points of all elements go to the constitutive model in one call
+per Newton iteration, which returns the stresses and the 6x6 tangent from
+a single network evaluation.
 
 The canned load case is a simply supported beam with a prescribed downward
 displacement on the midspan top face; the orientation inverse problem seeks
@@ -121,6 +124,8 @@ def dofs_of(nodes, components=(0, 1, 2)):
 class QuadratureData:
     dNdX: np.ndarray  # (n_elems, 8 qp, 8 nodes, 3)
     wdetJ: np.ndarray  # (n_elems, 8 qp)
+    edofs: np.ndarray  # (n_elems, 24) element dofs, node-major
+    k_index: np.ndarray  # (n_elems * 24 * 24,) flat positions of element entries in K
 
 
 def precompute_quadrature(mesh):
@@ -132,7 +137,9 @@ def precompute_quadrature(mesh):
         raise ValueError("mesh has non-positive Jacobians")
     invJ = np.linalg.inv(Jac)
     dNdX = np.einsum("qad,eqmd->eqam", dN_all, invJ)
-    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :])
+    edofs = (3 * mesh.elems[:, :, None] + np.arange(3)).reshape(-1, 24)
+    k_index = (edofs[:, :, None] * mesh.n_dof + edofs[:, None, :]).ravel()
+    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index)
 
 
 def deformation_gradients(mesh, quad, u):
@@ -150,36 +157,64 @@ class AssemblyResult:
     S: np.ndarray  # (E, 8, 3, 3) second Piola-Kirchhoff stresses
 
 
+def strain_displacement(F, dNdX):
+    """Voigt strain-displacement matrices B, (..., 6, 24), with dE = B du_e.
+
+    Rows are dE_11, dE_22, dE_33, 2 dE_12, 2 dE_13, 2 dE_23 (engineering
+    shears, matching the raw-component 6x6 tangent); columns are the
+    element dofs (node a, component i) in node-major order:
+
+        B_(MN),(ai) = F_iN dN_a/dX_M + F_iM dN_a/dX_N   (halved for M = N)
+    """
+    gM = dNdX[..., tc.VOIGT_I].swapaxes(-1, -2)  # (..., 6, 8), M of each Voigt pair (M, N)
+    gN = dNdX[..., tc.VOIGT_J].swapaxes(-1, -2)
+    FM = F[..., tc.VOIGT_I].swapaxes(-1, -2)  # (..., 6, 3)
+    FN = F[..., tc.VOIGT_J].swapaxes(-1, -2)
+    Bm = gM[..., :, None] * FN[..., None, :] + gN[..., :, None] * FM[..., None, :]
+    Bm *= 0.5 * tc.VOIGT_WEIGHTS[:, None, None]
+    return Bm.reshape(Bm.shape[:-2] + (24,))
+
+
 def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True):
-    """Internal-force residual and tangent for the current displacement."""
+    """Internal-force residual and tangent for the current displacement.
+
+    The element stiffness is
+
+        K_e = sum_q w_q [ B^T CC66 B + (dN S dN^T) (x) I_3 ],
+
+    with dN the (8, 3) shape gradients, B from strain_displacement and CC66
+    the 6x6 tangent. Each sum over the quadrature points is one batched
+    matmul over the elements.
+    """
     E, Q = quad.wdetJ.shape
     F = deformation_gradients(mesh, quad, u)
     Fb = F.reshape(E * Q, 3, 3)
     Cb = np.einsum("bki,bkj->bij", Fb, Fb)
     Db = np.broadcast_to(np.asarray(D, dtype=float), (E * Q, np.size(D))).copy()
-    Sb = energy.stress(model, Cb, Db, structure=structure)
+    if with_tangent:
+        Sb, M66 = energy.tangent(model, Cb, Db, structure=structure, return_stress=True)
+    else:
+        Sb = energy.stress(model, Cb, Db, structure=structure)
     S = Sb.reshape(E, Q, 3, 3)
 
     P = np.einsum("eqik,eqkm->eqim", F, S)
     fe = np.einsum("eq,eqim,eqam->eai", quad.wdetJ, P, quad.dNdX)
-    residual = np.zeros(mesh.n_dof)
-    np.add.at(residual.reshape(-1, 3), mesh.elems, fe)
+    residual = np.bincount(quad.edofs.ravel(), weights=fe.ravel(), minlength=mesh.n_dof)
 
     if not with_tangent:
         return AssemblyResult(residual, None, F, S)
 
-    M66 = energy.tangent(model, Cb, Db, structure=structure)
-    CC = tc.tensor4_from_66(M66).reshape(E, Q, 3, 3, 3, 3)
-    T1 = np.einsum("eqiK,eqKMNQ->eqiMNQ", F, CC, optimize=True)
-    Amat = np.einsum("eqiMNQ,eqjQ->eqiMjN", T1, F, optimize=True)
-    Ke = np.einsum("eq,eqaM,eqiMjN,eqbN->eaibj", quad.wdetJ, quad.dNdX, Amat, quad.dNdX, optimize=True)
-    G = np.einsum("eq,eqaM,eqMN,eqbN->eab", quad.wdetJ, quad.dNdX, S, quad.dNdX, optimize=True)
-    Ke += G[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
-
-    edofs = (3 * mesh.elems[:, :, None] + np.arange(3)[None, None, :]).reshape(E, 24)
-    K = np.zeros((mesh.n_dof, mesh.n_dof))
-    np.add.at(K, (edofs[:, :, None], edofs[:, None, :]), Ke.reshape(E, 24, 24))
-    return AssemblyResult(residual, K, F, S)
+    w = quad.wdetJ[:, :, None, None]
+    Bv = strain_displacement(F, quad.dNdX)  # (E, Q, 6, 24)
+    WMB = w * np.matmul(M66.reshape(E, Q, 6, 6), Bv)
+    Ke = np.matmul(Bv.reshape(E, Q * 6, 24).transpose(0, 2, 1), WMB.reshape(E, Q * 6, 24))
+    WSg = w * np.matmul(quad.dNdX, S)  # (E, Q, 8, 3)
+    G = np.matmul(WSg.transpose(0, 2, 1, 3).reshape(E, 8, Q * 3),
+                  quad.dNdX.transpose(0, 1, 3, 2).reshape(E, Q * 3, 8))
+    Ke = Ke.reshape(E, 8, 3, 8, 3)
+    Ke += G[:, :, None, :, None] * np.eye(3)[:, None, :]
+    K = np.bincount(quad.k_index, weights=Ke.ravel(), minlength=mesh.n_dof**2)
+    return AssemblyResult(residual, K.reshape(mesh.n_dof, mesh.n_dof), F, S)
 
 
 # ---------------------------------------------------------------------------

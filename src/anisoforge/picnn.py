@@ -15,9 +15,15 @@ squaring free parameters, A_h = Wxx_h ** 2 and w = wout ** 2, so the
 optimizer works on unconstrained variables. Unconstrained mode uses the raw
 matrices directly and gives up the convexity guarantee.
 
-Besides the forward value this module provides closed-form recursions for
-the gradient and Hessian with respect to x and a reverse-mode accumulator
-for parameter gradients of any seeded combination
+Besides the forward value this module provides closed-form derivatives
+with respect to x: the gradient by a backward recursion, and the Hessian by
+pushing the input Jacobian forward along the x path and summing one
+curvature term per layer,
+
+    H = sum_h Jz_h^T diag(delta_{h+1} * sp''(z_h)) Jz_h,   Jz_h = dz_h/dx,
+
+with delta_{h+1} = d psi / d x_{h+1} from the gradient pass. It also has a
+reverse-mode accumulator for parameter gradients of any seeded combination
 
     Q = sum_b  seed_val[b] * psi_b  +  seed_grad[b] . grad_x(psi)_b ,
 
@@ -195,32 +201,40 @@ def value_and_grad(params, X, Y, return_cache=False):
     return c.psi, c.g
 
 
-def hess_inputs(params, X, Y):
+def hess_inputs(params, X, Y, cache=None):
     """d^2 psi / dx dx for a batch: (B, n_inv, n_inv), symmetric.
 
-    Backward curvature recursion through the x path: with sp' and sp''
-    evaluated at the pre-activations z_h,
+    Forward-mode curvature: the input Jacobians of the pre-activations,
+    Jz_h = dz_h/dx (B, wx, n_inv), are pushed through the x path,
 
-        M_L = 0,  delta_L = w
-        Mz  = sp' (x) sp' * M_{h+1} + diag(delta_{h+1} * sp'')
-        M_h = A_h^T Mz A_h,  delta_h = (sp' * delta_{h+1}) A_h
+        Jz_0 = A_0,  Jz_h = A_h (sp'(z_{h-1}) * Jz_{h-1}),
+
+    and each convex activation adds its curvature weighted by the adjoint
+    delta_{h+1} = d psi / d x_{h+1} of its output,
+
+        H = sum_h Jz_h^T diag(delta_{h+1} * sp''(z_h)) Jz_h,
+
+    which costs O(B wx n_inv (wx + n_inv)) rather than the O(B wx^3) of a
+    backward recursion on (wx, wx) curvature matrices. A cache from
+    value_and_grad(..., return_cache=True) on the same inputs may be passed
+    to skip recomputing the forward and gradient passes.
     """
     X, Y = _check_inputs(params, X, Y)
-    c = _forward(params, X, Y)
-    L = params.depth
-    B = X.shape[0]
-    delta = np.broadcast_to(c.w, (B, c.w.size)).copy()
-    M = np.zeros((B, c.w.size, c.w.size))
-    for h in range(L - 1, -1, -1):
+    c = cache if cache is not None else _grad_pass(params, _forward(params, X, Y))
+    B, n = X.shape
+    A0 = c.A[0]
+    # first layer: Jz_0 = A_0 is shared by every row
+    coef = c.d[1] * c.sz[0] * (1.0 - c.sz[0])
+    H = (coef @ (A0[:, :, None] * A0[:, None, :]).reshape(A0.shape[0], n * n)).reshape(B, n, n)
+    # Jacobians are kept transposed, (B, n_inv, wx), so A_h applies as one GEMM
+    JxT = c.sz[0][:, None, :] * np.ascontiguousarray(A0.T)
+    for h in range(1, params.depth):
+        JzT = (JxT.reshape(B * n, -1) @ c.A[h].T).reshape(B, n, -1)
         sp1 = c.sz[h]
-        sp2 = sp1 * (1.0 - sp1)
-        Mz = sp1[:, :, None] * M * sp1[:, None, :]
-        diag = delta * sp2
-        idx = np.arange(c.zs[h].shape[1])
-        Mz[:, idx, idx] += diag
-        M = np.matmul(np.matmul(c.A[h].T, Mz), c.A[h])
-        delta = (sp1 * delta) @ c.A[h]
-    return M
+        coef = c.d[h + 1] * sp1 * (1.0 - sp1)
+        H += np.matmul(JzT, (coef[:, None, :] * JzT).transpose(0, 2, 1))
+        JxT = sp1[:, None, :] * JzT
+    return 0.5 * (H + H.transpose(0, 2, 1))
 
 
 def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None):
@@ -308,8 +322,8 @@ class EvalRecord:
 
 def evaluate_record(params, x, y):
     """Value, input gradient and input Hessian at a single (x, y) point."""
-    psi, g = value_and_grad(params, x, y)
-    H = hess_inputs(params, x, y)
+    psi, g, cache = value_and_grad(params, x, y, return_cache=True)
+    H = hess_inputs(params, x, y, cache=cache)
     return EvalRecord(float(psi[0]), g[0], H[0])
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 VOIGT = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+VOIGT_I = np.array([i for i, _ in VOIGT])
+VOIGT_J = np.array([j for _, j in VOIGT])
 VOIGT_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 EYE3 = np.eye(3)
 
@@ -93,25 +95,22 @@ def cofactor_sym(C):
     return out
 
 
-def det_sym(C):
-    """Determinant of a symmetric (..., 3, 3) tensor, expanded along the first row."""
+def _cofactor_det(C):
+    """(cof(C), det(C)), the determinant expanded along the first row."""
     C = np.asarray(C)
     cof = cofactor_sym(C)
-    return (
-        C[..., 0, 0] * cof[..., 0, 0]
-        + C[..., 0, 1] * cof[..., 0, 1]
-        + C[..., 0, 2] * cof[..., 0, 2]
-    )
+    det = C[..., 0, 0] * cof[..., 0, 0] + C[..., 0, 1] * cof[..., 0, 1] + C[..., 0, 2] * cof[..., 0, 2]
+    return cof, det
+
+
+def det_sym(C):
+    """Determinant of a symmetric (..., 3, 3) tensor, expanded along the first row."""
+    return _cofactor_det(C)[1]
 
 
 def inv_sym(C):
     """Inverse of a symmetric (..., 3, 3) tensor from its cofactors."""
-    cof = cofactor_sym(C)
-    det = (
-        np.asarray(C)[..., 0, 0] * cof[..., 0, 0]
-        + np.asarray(C)[..., 0, 1] * cof[..., 0, 1]
-        + np.asarray(C)[..., 0, 2] * cof[..., 0, 2]
-    )
+    cof, det = _cofactor_det(C)
     return cof / det[..., None, None]
 
 
@@ -233,12 +232,7 @@ def invariants(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     (..., n_active) array (I1, I2, I3, I4[, I5, I6[, I7, I8]]).
     """
     C = np.asarray(C, dtype=float)
-    cof = cofactor_sym(C)
-    det = (
-        C[..., 0, 0] * cof[..., 0, 0]
-        + C[..., 0, 1] * cof[..., 0, 1]
-        + C[..., 0, 2] * cof[..., 0, 2]
-    )
+    cof, det = _cofactor_det(C)
     J = np.sqrt(det)
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     I2 = cof[..., 0, 0] + cof[..., 1, 1] + cof[..., 2, 2]
@@ -278,12 +272,7 @@ def invariant_bases(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     """
     C = np.asarray(C, dtype=float)
     shp = C.shape[:-2]
-    cof = cofactor_sym(C)
-    det = (
-        C[..., 0, 0] * cof[..., 0, 0]
-        + C[..., 0, 1] * cof[..., 0, 1]
-        + C[..., 0, 2] * cof[..., 0, 2]
-    )
+    cof, det = _cofactor_det(C)
     J = np.sqrt(det)
     Cinv = cof / det[..., None, None]
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
@@ -303,9 +292,9 @@ def invariant_bases(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
 
 
 def _aniso_cof_basis(Cinv, det, N, alpha):
-    M = np.einsum("...ij,jk,...kl->...il", Cinv, N, Cinv)
-    n = np.einsum("...ij,ij->...", Cinv, N)
-    B = det[..., None, None] * (n[..., None, None] * Cinv - M)
+    VN = Cinv @ N
+    n = np.trace(VN, axis1=-2, axis2=-1)
+    B = det[..., None, None] * (n[..., None, None] * Cinv - VN @ Cinv)
     return alpha * 0.5 * (B + B.swapaxes(-1, -2))
 
 
@@ -328,85 +317,81 @@ def reference_bases(N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
 def invariant_second_derivatives(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     """Second derivatives d^2 I_i / dC dC as an (..., n_active, 3, 3, 3, 3) stack.
 
-    The I1, I5 and I7 blocks vanish (their bases are constant in C). The
-    remaining blocks, with V = C^-1, M_a = V N_a V, n_a = tr(V N_a):
-
-        d2I2_ijkl = d_ij d_kl - (d_ik d_jl + d_il d_jk)/2
-        d2I3      = (J/4) [V (x) V - 2 sym4(V, V)]
-        d2I4      = -2 d2I3
-        d2I(6|8)  = a det(C) { V (x) (n V - M) - M (x) V ... } (see code)
-
-    where sym4(A, B)_ijkl = (A_ik B_jl + A_il B_jk)/2.
+    Each block is curvature_66 with a unit weight on that invariant,
+    expanded from 6x6 component form, so the formulas live only there.
+    The I1, I5 and I7 blocks vanish (their bases are constant in C).
     """
     C = np.asarray(C, dtype=float)
-    shp = C.shape[:-2]
-    cof = cofactor_sym(C)
-    det = (
-        C[..., 0, 0] * cof[..., 0, 0]
-        + C[..., 0, 1] * cof[..., 0, 1]
-        + C[..., 0, 2] * cof[..., 0, 2]
-    )
-    J = np.sqrt(det)
+    M = curvature_66(C[..., None, :, :], np.eye(n_active), N1, N2, alpha1, alpha2, n_active)
+    return tensor4_from_66(M)
+
+
+# Voigt position of each component (i, j)
+_V9 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def _outer66(A, B):
+    """(A (x) B)_ijkl = A_ij B_kl in 6x6 component form."""
+    return sym_to_6(A)[..., :, None] * sym_to_6(B)[..., None, :]
+
+
+def _sym66(A, B):
+    """sym4(A, B)_ijkl = (A_ik B_jl + A_il B_jk)/2 in 6x6 component form."""
+    i, j = VOIGT_I[:, None], VOIGT_J[:, None]
+    k, l = VOIGT_I[None, :], VOIGT_J[None, :]
+    return 0.5 * (A[..., i, k] * B[..., j, l] + A[..., i, l] * B[..., j, k])
+
+
+_D2_I2 = _outer66(EYE3, EYE3) - _sym66(EYE3, EYE3)
+
+
+def curvature_66(C, weights, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
+    """Weighted curvature sum_i w_i d^2 I_i / dC dC in 6x6 component form.
+
+    weights (..., n_active) broadcasts against the batch shape of C. With
+    V = C^-1, M_a = V N_a V, n_a = tr(V N_a) and sym4 as in _sym66:
+
+        d2I2      = I (x) I - sym4(I, I)
+        d2I3      = (J/4) [V (x) V - 2 sym4(V, V)],   d2I4 = -2 d2I3
+        d2I(6|8)  = a det(C) [n V (x) V - V (x) M - M (x) V
+                              - n sym4(V, V) + sym4(V, M) + sym4(M, V)]
+
+    Every block is linear in the outer and sym4 products of V with itself
+    and with the weighted sum P = sum_a w_a a det(C) M_a, so the sum takes
+    the same six products whatever the number of invariants.
+    """
+    C = np.asarray(C, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    cof, det = _cofactor_det(C)
     V = cof / det[..., None, None]
-    eye = np.broadcast_to(EYE3, shp + (3, 3))
-
-    out = np.zeros(shp + (n_active, 3, 3, 3, 3))
-    out[..., 1, :, :, :, :] = _outer4(eye, eye) - _sym4(eye, eye)
-    d2J = 0.25 * J[..., None, None, None, None] * (_outer4(V, V) - 2.0 * _sym4(V, V))
-    out[..., 2, :, :, :, :] = d2J
-    out[..., 3, :, :, :, :] = -2.0 * d2J
+    kJ = (0.25 * w[..., 2] - 0.5 * w[..., 3]) * np.sqrt(det)
+    s = np.zeros_like(kJ)
+    P = np.zeros(kJ.shape + (3, 3))
+    blocks = []
     if n_active >= 6:
-        out[..., 5, :, :, :, :] = _aniso_cof_curvature(V, det, N1, alpha1)
+        blocks.append((5, N1, alpha1))
     if n_active == 8:
-        out[..., 7, :, :, :, :] = _aniso_cof_curvature(V, det, N2, alpha2)
+        blocks.append((7, N2, alpha2))
+    for col, N, alpha in blocks:
+        VN = V @ N
+        wa = alpha * w[..., col] * det
+        s = s + wa * np.trace(VN, axis1=-2, axis2=-1)
+        P = P + wa[..., None, None] * (VN @ V)
+    out = w[..., 1, None, None] * _D2_I2
+    out = out + (kJ + s)[..., None, None] * _outer66(V, V) - (2.0 * kJ + s)[..., None, None] * _sym66(V, V)
+    if blocks:
+        out = out - _outer66(V, P) - _outer66(P, V) + _sym66(V, P) + _sym66(P, V)
     return out
-
-
-def _outer4(A, B):
-    return np.einsum("...ij,...kl->...ijkl", A, B)
-
-
-def _sym4(A, B):
-    return 0.5 * (
-        np.einsum("...ik,...jl->...ijkl", A, B) + np.einsum("...il,...jk->...ijkl", A, B)
-    )
-
-
-def _aniso_cof_curvature(V, det, N, alpha):
-    M = np.einsum("...ij,jk,...kl->...il", V, N, V)
-    n = np.einsum("...ij,ij->...", V, N)
-    nV_minus_M = n[..., None, None] * V - M
-    G = (
-        _outer4(V, nV_minus_M)
-        - _outer4(M, V)
-        - n[..., None, None, None, None] * _sym4(V, V)
-        + _sym4(V, M)
-        + _sym4(M, V)
-    )
-    return alpha * det[..., None, None, None, None] * G
 
 
 def tensor4_to_66(T):
     """Project a minor-symmetric (..., 3, 3, 3, 3) tensor onto 6x6 component form."""
-    T = np.asarray(T)
-    out = np.empty(T.shape[:-4] + (6, 6), dtype=T.dtype)
-    for a, (i, j) in enumerate(VOIGT):
-        for b, (k, l) in enumerate(VOIGT):
-            out[..., a, b] = T[..., i, j, k, l]
-    return out
+    return np.asarray(T)[..., VOIGT_I[:, None], VOIGT_J[:, None], VOIGT_I[None, :], VOIGT_J[None, :]]
 
 
 def tensor4_from_66(M):
     """Expand a 6x6 component matrix back to a full minor-symmetric tensor."""
-    M = np.asarray(M)
-    out = np.empty(M.shape[:-2] + (3, 3, 3, 3), dtype=M.dtype)
-    for a, (i, j) in enumerate(VOIGT):
-        for b, (k, l) in enumerate(VOIGT):
-            out[..., i, j, k, l] = M[..., a, b]
-            out[..., j, i, k, l] = M[..., a, b]
-            out[..., i, j, l, k] = M[..., a, b]
-            out[..., j, i, l, k] = M[..., a, b]
-    return out
+    return np.asarray(M)[..., _V9[:, :, None, None], _V9[None, None, :, :]]
 
 
 def apply_tangent(M66, U6):

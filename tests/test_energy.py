@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisoforge import energy, picnn, tensor_core as tc
 from util import rand_spd, rand_rotation, fd_grad_wrt_C, rel_err, default_structure_tensors
@@ -96,6 +97,46 @@ def test_tangent_matches_fd_of_stress(mode, aniso_class):
         col = tc.sym_to_6((energy.stress(m, Cp, D) - energy.stress(m, Cm, D)) / (2 * h))
         ref = M[:, b] * (1.0 if k != l else 0.5)
         assert np.allclose(col, ref, rtol=1e-4, atol=1e-7), (mode, aniso_class, b)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    F=st.lists(st.floats(-0.25, 0.25), min_size=9, max_size=9),
+    D=st.lists(st.floats(1.0, 5.0), min_size=2, max_size=2),
+    mode=st.sampled_from(MODES),
+    aniso_class=st.sampled_from(CLASSES),
+)
+def test_tangent_properties(F, D, mode, aniso_class):
+    """Major symmetry and agreement with FD of the stress for random SPD C."""
+    F = np.eye(3) + np.reshape(F, (3, 3))
+    C = F.T @ F
+    D = np.asarray(D)
+    m = tiny_model(mode, aniso_class)
+    M = energy.tangent(m, C, D)
+    assert np.max(np.abs(M - M.T)) < 1e-10
+    h = 1e-6
+    for b, (k, l) in enumerate(tc.VOIGT):
+        Cp, Cm = C.copy(), C.copy()
+        Cp[k, l] += h
+        Cm[k, l] -= h
+        if k != l:
+            Cp[l, k] += h
+            Cm[l, k] -= h
+        col = tc.sym_to_6((energy.stress(m, Cp, D) - energy.stress(m, Cm, D)) / (2 * h))
+        ref = M[:, b] * (1.0 if k != l else 0.5)
+        assert np.allclose(col, ref, rtol=1e-4, atol=1e-7), (mode, aniso_class, b)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tangent_return_stress_matches_stress_and_tangent(mode):
+    rng = np.random.default_rng(12)
+    m = tiny_model(mode, "ortho")
+    C, D = rand_batch(rng, 5, m)
+    S, M = energy.tangent(m, C, D, return_stress=True)
+    assert np.array_equal(S, energy.stress(m, C, D))
+    assert np.array_equal(M, energy.tangent(m, C, D))
+    S1, M1 = energy.tangent(m, C[0], D[0], return_stress=True)
+    assert S1.shape == (3, 3) and M1.shape == (6, 6)
 
 
 def test_linearC_tangent_bitwise_with_without_sn():

@@ -124,6 +124,48 @@ def test_tangent_matches_fd_anisotropic():
         assert np.max(np.abs(col - out.K[:, d])) / scale < 1e-4
 
 
+def test_tangent_matches_fd_multi_element_with_structure_override():
+    # shared nodes: each column collects contributions from up to four elements
+    mesh = fem.box_mesh((2.0, 2.0, 1.0), (2, 2, 1))
+    quad = fem.precompute_quadrature(mesh)
+    model = tiny_model("transiso", seed=9)
+    structure = tc.structure_tensors(0.8, np.array([0.4, -0.7, 0.6]))
+    D = np.array([2.5, 3.5])
+    rng = np.random.default_rng(10)
+    u = 0.03 * rng.standard_normal(mesh.n_dof)
+    out = fem.assemble(mesh, quad, model, D, u, structure=structure)
+    assert np.allclose(out.K, out.K.T, atol=1e-9 * np.abs(out.K).max())
+    h = 1e-6
+    for d in range(mesh.n_dof):
+        up, um = u.copy(), u.copy()
+        up[d] += h
+        um[d] -= h
+        rp = fem.assemble(mesh, quad, model, D, up, structure=structure, with_tangent=False).residual
+        rm = fem.assemble(mesh, quad, model, D, um, structure=structure, with_tangent=False).residual
+        col = (rp - rm) / (2 * h)
+        scale = max(np.abs(col).max(), 1e-12)
+        assert np.max(np.abs(col - out.K[:, d])) / scale < 1e-4, d
+
+
+def test_strain_displacement_matches_fd_of_green_strain():
+    mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+    quad = fem.precompute_quadrature(mesh)
+    rng = np.random.default_rng(11)
+    u = 0.05 * rng.standard_normal(mesh.n_dof)
+    du = rng.standard_normal(mesh.n_dof)
+
+    def green(v):
+        F = fem.deformation_gradients(mesh, quad, v)
+        return 0.5 * (np.einsum("eqki,eqkj->eqij", F, F) - np.eye(3))
+
+    h = 1e-6
+    dE = (green(u + h * du) - green(u - h * du)) / (2 * h)
+    ref = tc.sym_to_6(dE) * tc.VOIGT_WEIGHTS  # engineering shears
+    Bv = fem.strain_displacement(fem.deformation_gradients(mesh, quad, u), quad.dNdX)
+    got = Bv @ du[quad.edofs[0]]
+    assert np.max(np.abs(got - ref)) < 1e-8 * np.abs(ref).max()
+
+
 def boundary_nodes(mesh):
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)

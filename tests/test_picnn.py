@@ -81,6 +81,56 @@ def test_hess_matches_fd_and_symmetry(constrained):
         assert np.max(np.abs(H[b] - H[b].T)) < 1e-12
 
 
+def backward_hess_reference(params, X, Y):
+    """Input Hessian by the backward curvature recursion on (wx, wx) matrices.
+
+    With sp' and sp'' at the pre-activations z_h:
+        M_L = 0,  delta_L = w
+        Mz  = sp' (x) sp' * M_{h+1} + diag(delta_{h+1} * sp'')
+        M_h = A_h^T Mz A_h,  delta_h = (sp' * delta_{h+1}) A_h
+    """
+    c = picnn._forward(params, X, Y)
+    B = X.shape[0]
+    delta = np.broadcast_to(c.w, (B, c.w.size)).copy()
+    M = np.zeros((B, c.w.size, c.w.size))
+    idx = np.arange(c.w.size)
+    for h in range(params.depth - 1, -1, -1):
+        sp1 = c.sz[h]
+        Mz = sp1[:, :, None] * M * sp1[:, None, :]
+        Mz[:, idx, idx] += delta * sp1 * (1.0 - sp1)
+        M = np.matmul(np.matmul(c.A[h].T, Mz), c.A[h])
+        delta = (sp1 * delta) @ c.A[h]
+    return M
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("n_inv", [4, 6, 8])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_hess_forward_mode_matches_fd_and_backward_reference(depth, n_inv, constrained):
+    rng = np.random.default_rng(10 * depth + n_inv)
+    p = picnn.init_params(n_inv, 2, width_x=5, width_y=4, depth=depth,
+                          constrained=constrained, seed=depth + n_inv)
+    X, Y = rand_inputs(rng, 6, n_inv=n_inv)
+    H = picnn.hess_inputs(p, X, Y)
+    assert H.shape == (6, n_inv, n_inv)
+    assert np.max(np.abs(H - H.transpose(0, 2, 1))) < 1e-12
+    ref = backward_hess_reference(p, X, Y)
+    assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for b in range(6):
+        fd = fd_jacobian(
+            lambda x: picnn.value_and_grad(p, x[None, :], Y[b : b + 1])[1][0], X[b], h=1e-5
+        )
+        assert np.allclose(H[b], fd, rtol=1e-4, atol=1e-8)
+
+
+def test_hess_with_cache_matches_fresh():
+    rng = np.random.default_rng(8)
+    p = small_net()
+    X, Y = rand_inputs(rng, 5)
+    _, _, cache = picnn.value_and_grad(p, X, Y, return_cache=True)
+    assert np.array_equal(picnn.hess_inputs(p, X, Y, cache=cache), picnn.hess_inputs(p, X, Y))
+
+
 def test_constrained_monotone_and_convex():
     rng = np.random.default_rng(3)
     p = picnn.init_params(8, 2, seed=11)  # full-width network
@@ -165,6 +215,10 @@ def test_evaluate_record():
     assert np.isscalar(rec.value) or rec.value.shape == ()
     assert rec.grad.shape == (8,)
     assert rec.hess.shape == (8, 8)
+    psi, g = picnn.value_and_grad(p, X, Y)
+    assert rec.value == psi[0]
+    assert np.array_equal(rec.grad, g[0])
+    assert np.array_equal(rec.hess, picnn.hess_inputs(p, X, Y)[0])
 
 
 def test_flatten_round_trip():
