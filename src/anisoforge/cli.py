@@ -743,11 +743,8 @@ def cmd_probe_isotropy(args):
             f"--d has {d.size} entries but the checkpoint expects {model.net.n_design}"
         )
 
-    def stress_fn(C):
-        D = np.broadcast_to(d, (C.shape[0], d.size)).copy()
-        return energy.stress(model, C, D)
-
-    probe = datagen.isotropy_probe(stress_fn, gamma_max=args.gamma_max, n_gamma=args.n_gamma)
+    probe = datagen.isotropy_probe(lambda C: energy.stress(model, C, d),
+                                   gamma_max=args.gamma_max, n_gamma=args.n_gamma)
     report = {
         "max_deviation": probe.max_deviation,
         "gammas": probe.gammas.tolist(),

@@ -35,12 +35,21 @@ Stress and tangent follow from the invariant chain rule:
     S  = 2 sum_i c_i B_i (+ S_sn in linear-C form),   B_i = dI_i/dC
     CC = 4 [ sum_ij (d2Psi/dI_i dI_j) B_i (x) B_j + sum_i c_i d2I_i/dC dC ]
 
-Both come from one shared evaluation; the tangent is assembled directly in
-6x6 component form from the packed bases and tc.curvature_66.
+All of these are views of one evaluation, which takes two inputs:
 
-This module also hosts the fused reverse-mode gradient of the stress-fitting
-loss with respect to network weights, activity logits and orientation, built
-on picnn.backprop; every chain is finite-difference checked in the tests.
+* a C-workspace (tc.CWorkspace: C, cof, det, J, C^-1), built once per set
+  of C and read by the invariant, basis and curvature kernels; callers that
+  hold C fixed (inversion, the training Workspace) build it once;
+* the designs as (uD, group): the unique design rows and the sample -> row
+  index. A single design row is shared by every sample without np.unique.
+
+The sample rows I(C) and one reference row Iref per design go through a
+single network call whose design path runs once per design. psi, stress,
+tangent (assembled directly in 6x6 form from the packed bases and
+tc.curvature_66), normalization_coefficients and the fused reverse-mode
+gradient of the stress-fitting loss with respect to network weights,
+activity logits and orientation (built on picnn.backprop) all read that
+evaluation; every chain is finite-difference checked in the tests.
 """
 
 from __future__ import annotations
@@ -205,9 +214,22 @@ def _check_design(model, D):
             warnings.warn(
                 "design parameters outside the declared training ranges; "
                 "the surrogate is extrapolating",
-                stacklevel=3,
+                stacklevel=4,
             )
     return D
+
+
+def _designs(D, B):
+    """Designs of B samples as (uD, group): unique rows and the sample -> row index.
+
+    A single design row is shared by every sample without a np.unique call.
+    """
+    if D.shape[0] == 1:
+        return D, np.zeros(B, dtype=np.intp)
+    if D.shape[0] != B:
+        raise ValueError("C and D batch sizes differ")
+    uD, group = np.unique(D, axis=0, return_inverse=True)
+    return uD, group.ravel()
 
 
 def growth_coefficient(J, gamma):
@@ -230,119 +252,137 @@ class NormCoefficients:
     T_ref: np.ndarray | None  # linear-C form tensor, (G, 3, 3)
 
 
+def _directions(N1, N2, a1, a2, n):
+    """(first invariant column, N, activity) of each active structure tensor."""
+    return [(4, N1, a1), (6, N2, a2)][: (n - 4) // 2]
+
+
 def _coefficient_corrections(g_ref, N1, N2, a1, a2, n):
     c_sn = np.zeros_like(g_ref)
     o = g_ref[:, 0] + 2.0 * g_ref[:, 1] + 0.5 * g_ref[:, 2] - g_ref[:, 3]
-    if n >= 6:
-        c_sn[:, 4] = g_ref[:, 5]
-        c_sn[:, 5] = g_ref[:, 4]
-        o = o + (g_ref[:, 4] + g_ref[:, 5]) * a1 * np.trace(N1)
-    if n == 8:
-        c_sn[:, 6] = g_ref[:, 7]
-        c_sn[:, 7] = g_ref[:, 6]
-        o = o + (g_ref[:, 6] + g_ref[:, 7]) * a2 * np.trace(N2)
+    for k, N, a in _directions(N1, N2, a1, a2, n):
+        c_sn[:, k] = g_ref[:, k + 1]
+        c_sn[:, k + 1] = g_ref[:, k]
+        o = o + (g_ref[:, k] + g_ref[:, k + 1]) * a * np.trace(N)
     c_sn[:, 2] = -2.0 * o
     return c_sn
+
+
+class _Evaluation:
+    """The energy's forward pass over a C-workspace and designs (uD, group).
+
+    The invariants and bases are taken with unit activities and scaled by
+    (1, 1, 1, 1, a1, a1, a2, a2) where they meet the network. The sample
+    rows and one reference row per design go through a single network call
+    whose design path runs once per design; psi, S, CC and the training
+    loss are read off this one evaluation.
+    """
+
+    def __init__(self, model, cw, uD, group, structure=None):
+        cfg = model.config
+        n = cfg.n_active
+        self.model, self.cw, self.uD, self.group = model, cw, uD, group
+        N1, N2, a1, a2 = _resolve_structure(model, structure)
+        self.N1, self.N2, self.a1, self.a2 = N1, N2, a1, a2
+        self.directions = _directions(N1, N2, a1, a2, n)
+        self.Iref = tc.reference_invariants(a1, a2, n)
+        self.scale = np.ones(n)
+        self.scale[4:6] = a1
+        self.scale[6:] = a2
+        self.Iu = tc.invariants(cw, N1, N2, 1.0, 1.0, n)
+        self.Bu = tc.invariant_bases(cw, N1, N2, 1.0, 1.0, n)
+        B, G = self.Iu.shape[0], uD.shape[0]
+        self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
+        self.rows = np.concatenate([group, np.arange(G)])
+        psi, g, self.cache = picnn.value_and_grad(model.net, self.X, uD, return_cache=True,
+                                                  group=self.rows)
+        self.psi_net, self.g = psi[:B], g[:B]
+        g_ref = g[B:]
+        if cfg.mode == "nonpoly_linearC":
+            self.Bref = tc.reference_bases(N1, N2, a1, a2, n)
+            T_ref = (g_ref @ self.Bref.reshape(n, 9)).reshape(G, 3, 3)
+            self.nc = NormCoefficients(psi[B:], g_ref, None, T_ref)
+        else:
+            self.nc = NormCoefficients(psi[B:], g_ref,
+                                       _coefficient_corrections(g_ref, N1, N2, a1, a2, n), None)
+
+    def coefficients(self, with_sn=True):
+        """dPsi/dI per sample row: network, growth and (with_sn) coefficient-form terms."""
+        c = self.g.copy()
+        c[:, 2] += growth_coefficient(self.cw.J, self.model.config.gamma)
+        if with_sn and self.nc.c_sn is not None:
+            c += self.nc.c_sn[self.group]
+        return c
+
+    def psi(self):
+        J = self.cw.J
+        out = self.psi_net + self.model.config.gamma * (J + 1.0 / J - 2.0) ** 2
+        out -= self.nc.psi_ref[self.group]
+        if self.nc.T_ref is not None:
+            out -= np.einsum("bij,bij->b", self.nc.T_ref[self.group], self.cw.C - tc.EYE3)
+        else:
+            out += np.einsum("bi,bi->b", self.nc.c_sn[self.group], self.X[: J.size] - self.Iref)
+        return out
+
+    def stress(self):
+        B, n = self.Iu.shape
+        c = self.coefficients() * self.scale
+        S = 2.0 * (c[:, None, :] @ self.Bu.reshape(B, n, 9)).reshape(B, 3, 3)
+        if self.nc.T_ref is not None:
+            S -= 2.0 * self.nc.T_ref[self.group]
+        return S
+
+    def tangent(self, with_sn=True):
+        """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
+        B, n = self.Iu.shape
+        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=self.cache,
+                              group=self.rows)[:B]
+        H[:, 2, 2] += growth_curvature(self.cw.J, self.model.config.gamma)
+        B6 = tc.sym_to_6(self.Bu) * self.scale[:, None]
+        M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
+        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale,
+                             self.N1, self.N2, 1.0, 1.0, n)
+        M *= 4.0
+        return M
+
+
+def _evaluate(model, C, D, structure=None, check=False):
+    """(_Evaluation, single) for C (a (3, 3), (B, 3, 3) array or a CWorkspace) and D."""
+    if isinstance(C, tc.CWorkspace):
+        cw, single = C, False
+    else:
+        C = np.asarray(C, dtype=float)
+        single = C.ndim == 2
+        if check:
+            tc.check_metric(C)
+        cw = tc.c_workspace(C.reshape(-1, 3, 3))
+    uD, group = _designs(_check_design(model, D), cw.C.shape[0])
+    return _Evaluation(model, cw, uD, group, structure), single
 
 
 def normalization_coefficients(model, D, structure=None):
     """Stress-normalization data for design rows D (shape (G, m) or (m,))."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    n = model.config.n_active
-    N1, N2, a1, a2 = _resolve_structure(model, structure)
-    Iref = tc.reference_invariants(a1, a2, n)
-    rows = np.broadcast_to(Iref, (D.shape[0], n))
-    psi_ref, g_ref = picnn.value_and_grad(model.net, rows, D)
-    if model.config.mode == "nonpoly_linearC":
-        Bref = tc.reference_bases(N1, N2, a1, a2, n)
-        T_ref = np.einsum("gi,ijk->gjk", g_ref, Bref)
-        return NormCoefficients(psi_ref, g_ref, None, T_ref)
-    return NormCoefficients(psi_ref, g_ref, _coefficient_corrections(g_ref, N1, N2, a1, a2, n), None)
-
-
-def _batched_CD(model, C, D):
-    C = np.asarray(C, dtype=float)
-    single = C.ndim == 2
-    C = C[None] if single else C
-    D = _check_design(model, D)
-    if D.shape[0] == 1 and C.shape[0] > 1:
-        D = np.broadcast_to(D, (C.shape[0], D.shape[1]))
-    if D.shape[0] != C.shape[0]:
-        raise ValueError("C and D batch sizes differ")
-    return C, D, single
+    no_samples = tc.c_workspace(np.empty((0, 3, 3)))
+    return _Evaluation(model, no_samples, D, np.empty(0, dtype=np.intp), structure).nc
 
 
 def psi(model, C, D, structure=None, check=False):
-    """Total energy density for a batch (or a single pair) of (C, D)."""
-    C, D, single = _batched_CD(model, C, D)
-    if check:
-        tc.check_metric(C)
-    n = model.config.n_active
-    N1, N2, a1, a2 = _resolve_structure(model, structure)
-    I = tc.invariants(C, N1, N2, a1, a2, n)
-    J = I[:, 2]
-    psi_net = picnn.value(model.net, I, D)
-    uD, inv = np.unique(D, axis=0, return_inverse=True)
-    inv = inv.ravel()
-    nc = normalization_coefficients(model, uD, structure)
-    out = psi_net + model.config.gamma * (J + 1.0 / J - 2.0) ** 2 - nc.psi_ref[inv]
-    if model.config.mode == "nonpoly_linearC":
-        out = out - np.einsum("bij,bij->b", nc.T_ref[inv], C - tc.EYE3)
-    else:
-        Iref = tc.reference_invariants(a1, a2, n)
-        out = out + np.einsum("bi,bi->b", nc.c_sn[inv], I - Iref)
-    return float(out[0]) if single else out
+    """Total energy density for a batch (or a single pair) of (C, D).
 
-
-def _response(model, C, D, structure=None, want_stress=True, want_tangent=False,
-              with_sn=True, check=False):
-    """One constitutive evaluation behind stress and tangent: (S, CC66).
-
-    Invariants, bases, the network pass, np.unique(D) and the normalization
-    are computed once and shared by whichever of S and CC66 is wanted.
+    C may also be a tc.CWorkspace; D holds one design row per C or a single
+    row shared by all of them.
     """
-    C, D, single = _batched_CD(model, C, D)
-    if check:
-        tc.check_metric(C)
-    cfg = model.config
-    n = cfg.n_active
-    N1, N2, a1, a2 = _resolve_structure(model, structure)
-    I = tc.invariants(C, N1, N2, a1, a2, n)
-    J = I[:, 2]
-    _, g, cache = picnn.value_and_grad(model.net, I, D, return_cache=True)
-    c = g.copy()
-    c[:, 2] += growth_coefficient(J, cfg.gamma)
-    c_sn = T_ref = None
-    if want_stress or (with_sn and cfg.mode != "nonpoly_linearC"):
-        uD, inv = np.unique(D, axis=0, return_inverse=True)
-        inv = inv.ravel()
-        nc = normalization_coefficients(model, uD, structure)
-        c_sn = None if nc.c_sn is None else nc.c_sn[inv]
-        T_ref = None if nc.T_ref is None else nc.T_ref[inv]
-    B = tc.invariant_bases(C, N1, N2, a1, a2, n)
-    S = M = None
-    if want_stress:
-        S = 2.0 * np.einsum("bi,bijk->bjk", c if c_sn is None else c + c_sn, B, optimize=True)
-        if T_ref is not None:
-            S = S - 2.0 * T_ref
-    if want_tangent:
-        H = picnn.hess_inputs(model.net, I, D, cache=cache)
-        H[:, 2, 2] += growth_curvature(J, cfg.gamma)
-        if with_sn and c_sn is not None:
-            c = c + c_sn
-        B6 = tc.sym_to_6(B)
-        M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
-        M += tc.curvature_66(C, c, N1, N2, a1, a2, n)
-        M *= 4.0
-    if single:
-        S = None if S is None else S[0]
-        M = None if M is None else M[0]
-    return S, M
+    ev, single = _evaluate(model, C, D, structure, check)
+    out = ev.psi()
+    return float(out[0]) if single else out
 
 
 def stress(model, C, D, structure=None, check=False):
     """Second Piola-Kirchhoff stress S = 2 dPsi/dC, shape (..., 3, 3)."""
-    return _response(model, C, D, structure, check=check)[0]
+    ev, single = _evaluate(model, C, D, structure, check)
+    S = ev.stress()
+    return S[0] if single else S
 
 
 def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
@@ -361,9 +401,12 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
     Newton iteration needs one constitutive call; S always carries the
     stress normalization.
     """
-    S, M = _response(model, C, D, structure, want_stress=return_stress, want_tangent=True,
-                     with_sn=with_sn)
-    return (S, M) if return_stress else M
+    ev, single = _evaluate(model, C, D, structure)
+    M = ev.tangent(with_sn)
+    if not return_stress:
+        return M[0] if single else M
+    S = ev.stress()
+    return (S[0], M[0]) if single else (S, M)
 
 
 # ---------------------------------------------------------------------------
@@ -371,46 +414,32 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
 
 
 @dataclass
-class Workspace:
-    """Per-dataset constants reused across epochs."""
+class Workspace(tc.CWorkspace):
+    """Per-dataset constants reused across epochs: the C-workspace of the
+    samples, their designs as (uD, group), the target stresses and optional
+    (3, 3) per-component residual weights."""
 
-    C: np.ndarray
-    D: np.ndarray
-    S_true: np.ndarray
     uD: np.ndarray
-    group: np.ndarray  # inverse index, sample -> unique-D row
-    cof: np.ndarray
-    det: np.ndarray
-    J: np.ndarray
-    Cinv: np.ndarray
-    B_iso: np.ndarray  # bases 1..4, (B, 4, 3, 3)
-    c_growth: np.ndarray
-    weight: np.ndarray | None = None  # (3, 3) per-component residual weights
+    group: np.ndarray
+    S_true: np.ndarray
+    weight: np.ndarray | None = None
 
 
 def make_workspace(model, C, D, S_true, component_weights=None):
     C = np.asarray(C, dtype=float)
-    D = np.atleast_2d(np.asarray(D, dtype=float))
     S_true = np.asarray(S_true, dtype=float)
     if C.size == 0:
         raise ValueError("empty dataset")
     tc.check_metric(C)
     if not np.all(np.isfinite(S_true)):
         raise ValueError("stress data contains non-finite entries")
-    uD, group = np.unique(D, axis=0, return_inverse=True)
-    cof = tc.cofactor_sym(C)
-    det = C[:, 0, 0] * cof[:, 0, 0] + C[:, 0, 1] * cof[:, 0, 1] + C[:, 0, 2] * cof[:, 0, 2]
-    J = np.sqrt(det)
-    Cinv = cof / det[:, None, None]
-    B_iso = tc.invariant_bases(C, n_active=4)
     if component_weights is not None:
         component_weights = np.asarray(component_weights, dtype=float)
         if component_weights.shape != (3, 3):
             raise ValueError("component_weights must be a (3, 3) array")
-    return Workspace(
-        C, D, S_true, uD, group.ravel(), cof, det, J, Cinv, B_iso,
-        growth_coefficient(J, model.config.gamma), component_weights,
-    )
+    uD, group = _designs(np.atleast_2d(np.asarray(D, dtype=float)), C.shape[0])
+    cw = tc.c_workspace(C)
+    return Workspace(cw.C, cw.cof, cw.det, cw.J, cw.Cinv, uD, group, S_true, component_weights)
 
 
 @dataclass
@@ -421,16 +450,6 @@ class LossGradients:
     dphi: float | None
     dp_raw: np.ndarray | None
     S_hat: np.ndarray | None
-
-
-def _aniso_block(C_batch, cof, Cinv, det, N):
-    """Contractions and unit basis tensors for one structure tensor."""
-    cN = np.einsum("bij,ij->b", C_batch, N)
-    cofN = np.einsum("bij,ij->b", cof, N)
-    VNV = np.einsum("bij,jk,bkl->bil", Cinv, N, Cinv, optimize=True)
-    trVN = np.einsum("bij,ij->b", Cinv, N)
-    Bcof_unit = det[:, None, None] * (trVN[:, None, None] * Cinv - VNV)
-    return cN, cofN, Bcof_unit
 
 
 def loss_and_param_gradients(model, ws, want_stress=False):
@@ -447,174 +466,81 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     B = ws.C.shape[0]
     G = ws.uD.shape[0]
     aniso = model.aniso
-    train_alpha = aniso is not None and aniso.trainable_alpha
-    train_orient = aniso is not None and aniso.trainable_orientation
-
-    if n > 4:
-        N1, N2, R = aniso.structure()
-        a1, a2 = aniso.alphas()
-    else:
-        N1 = N2 = R = None
-        a1 = a2 = 1.0
-
-    # invariants and bases; isotropic parts come from the workspace
-    I = np.empty((B, n))
-    I[:, 0] = ws.C[:, 0, 0] + ws.C[:, 1, 1] + ws.C[:, 2, 2]
-    I[:, 1] = ws.cof[:, 0, 0] + ws.cof[:, 1, 1] + ws.cof[:, 2, 2]
-    I[:, 2] = ws.J
-    I[:, 3] = -2.0 * ws.J
-    Bst = np.empty((B, n, 3, 3))
-    Bst[:, :4] = ws.B_iso
-    if n >= 6:
-        cN1, cofN1, B6unit = _aniso_block(ws.C, ws.cof, ws.Cinv, ws.det, N1)
-        I[:, 4] = a1 * cN1
-        I[:, 5] = a1 * cofN1
-        Bst[:, 4] = a1 * N1
-        Bst[:, 5] = a1 * B6unit
-    if n == 8:
-        cN2, cofN2, B8unit = _aniso_block(ws.C, ws.cof, ws.Cinv, ws.det, N2)
-        I[:, 6] = a2 * cN2
-        I[:, 7] = a2 * cofN2
-        Bst[:, 6] = a2 * N2
-        Bst[:, 7] = a2 * B8unit
-
-    # one network call covering sample rows and reference rows
-    Iref = tc.reference_invariants(a1, a2, n)
-    Xrows = np.vstack([I, np.broadcast_to(Iref, (G, n))])
-    Yrows = np.vstack([ws.D, ws.uD])
-    _, gall, cache = picnn.value_and_grad(model.net, Xrows, Yrows, return_cache=True)
-    g = gall[:B]
-    gb = gall[B:]
-
-    c = g.copy()
-    c[:, 2] += ws.c_growth
-    T_ref = None
-    if cfg.mode == "nonpoly_linearC":
-        Bref = tc.reference_bases(N1, N2, a1, a2, n)
-        T_ref = np.einsum("gi,ijk->gjk", gb, Bref)
-    else:
-        c = c + _coefficient_corrections(gb, N1, N2, a1, a2, n)[ws.group]
-
-    S_hat = 2.0 * np.einsum("bi,bijk->bjk", c, Bst, optimize=True)
-    if T_ref is not None:
-        S_hat = S_hat - 2.0 * T_ref[ws.group]
+    ev = _Evaluation(model, ws, ws.uD, ws.group)
+    c = ev.coefficients()
+    S_hat = ev.stress()
 
     Rm = S_hat - ws.S_true
-    if ws.weight is None:
-        loss = float(np.einsum("bij,bij->", Rm, Rm)) / B
-        dS = (2.0 / B) * Rm
-    else:
-        w2 = ws.weight**2
-        loss = float(np.einsum("ij,bij,bij->", w2, Rm, Rm)) / B
-        dS = (2.0 / B) * w2 * Rm
+    wR = Rm if ws.weight is None else ws.weight**2 * Rm
+    loss = float(np.vdot(wR, Rm)) / B
+    dS = (2.0 / B) * wR
 
-    # sensitivity to the per-sample coefficients: u_i = dL/dc_i
-    u = 2.0 * np.einsum("bjk,bnjk->bn", dS, Bst, optimize=True)
+    # v_i = 2 dS : Bu_i per sample; the sensitivity to c_i is u_i = scale_i v_i
+    v = 2.0 * (ev.Bu.reshape(B, n, 9) @ dS.reshape(B, 9, 1))[..., 0]
+    u = ev.scale * v
     U = np.zeros((G, n))
     np.add.at(U, ws.group, u)
 
-    # seeds for the network gradient rows
-    seed_ref = np.zeros((G, n))
-    dT = None
+    # seeds for the reference rows, through the normalization terms
+    gb = ev.nc.g_ref
     if cfg.mode == "nonpoly_linearC":
-        dT = np.zeros((G, 3, 3))
-        np.add.at(dT, ws.group, dS)
+        dT = np.zeros((G, 9))
+        np.add.at(dT, ws.group, dS.reshape(B, 9))
         dT *= -2.0
-        seed_ref = np.einsum("gjk,ijk->gi", dT, Bref)
+        seed_ref = dT @ ev.Bref.reshape(n, 9).T
     else:
         u3 = U[:, 2]
-        seed_ref[:, 0] = -2.0 * u3
-        seed_ref[:, 1] = -4.0 * u3
-        seed_ref[:, 2] = -u3
-        seed_ref[:, 3] = 2.0 * u3
-        if n >= 6:
-            t1 = a1 * np.trace(N1)
-            seed_ref[:, 4] = U[:, 5] - 2.0 * t1 * u3
-            seed_ref[:, 5] = U[:, 4] - 2.0 * t1 * u3
-        if n == 8:
-            t2 = a2 * np.trace(N2)
-            seed_ref[:, 6] = U[:, 7] - 2.0 * t2 * u3
-            seed_ref[:, 7] = U[:, 6] - 2.0 * t2 * u3
+        seed_ref = np.zeros((G, n))
+        seed_ref[:, :4] = np.array([-2.0, -4.0, -1.0, 2.0]) * u3[:, None]
+        for k, N, a in ev.directions:
+            t = a * np.trace(N)
+            seed_ref[:, k] = U[:, k + 1] - 2.0 * t * u3
+            seed_ref[:, k + 1] = U[:, k] - 2.0 * t * u3
 
-    seeds = np.vstack([u, seed_ref])
-    dnet, dX = picnn.backprop(model.net, Xrows, Yrows, None, seeds, cache=cache)
-    dI = dX[:B]
-    dIref = dX[B:]
+    dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
+                              cache=ev.cache, group=ev.rows)
 
-    dalpha_bar = None
-    dphi = None
-    dp_raw = None
+    train_alpha = aniso is not None and aniso.trainable_alpha
+    train_orient = aniso is not None and aniso.trainable_orientation
+    dalpha_bar = dphi = dp_raw = None
     if n > 4 and (train_alpha or train_orient):
-        da1, dN1 = _structure_adjoints(
-            ws, dS, dI[:, 4], dI[:, 5], dIref[:, 4], dIref[:, 5],
-            c[:, 4], c[:, 5], cN1, cofN1, B6unit, N1, a1,
-        )
-        if n == 8:
-            da2, dN2 = _structure_adjoints(
-                ws, dS, dI[:, 6], dI[:, 7], dIref[:, 6], dIref[:, 7],
-                c[:, 6], c[:, 7], cN2, cofN2, B8unit, N2, a2,
-            )
-        else:
-            da2, dN2 = 0.0, np.zeros((3, 3))
-
-        if cfg.mode == "nonpoly_linearC":
-            # Tref = sum_i gb_i Bref_i with Bref5 = a1 N1, Bref6 = a1 (trN1 I - N1)
-            dT_trace = np.einsum("gii->g", dT)
-            da1 += float(
-                np.einsum("g,gij,ij->", gb[:, 4], dT, N1)
-                + gb[:, 5] @ (dT_trace * np.trace(N1) - np.einsum("gij,ij->g", dT, N1))
-            )
-            dN1 += a1 * np.einsum("g,gij->ij", gb[:, 4], dT)
-            dN1 += a1 * (
-                float(gb[:, 5] @ dT_trace) * tc.EYE3
-                - np.einsum("g,gij->ij", gb[:, 5], dT)
-            )
-            if n == 8:
-                da2 += float(
-                    np.einsum("g,gij,ij->", gb[:, 6], dT, N2)
-                    + gb[:, 7] @ (dT_trace * np.trace(N2) - np.einsum("gij,ij->g", dT, N2))
-                )
-                dN2 += a2 * np.einsum("g,gij->ij", gb[:, 6], dT)
-                dN2 += a2 * (
-                    float(gb[:, 7] @ dT_trace) * tc.EYE3
-                    - np.einsum("g,gij->ij", gb[:, 7], dT)
-                )
-        else:
-            # explicit (a tr N) dependence of the o coefficient: c3 = -2 o
-            w1 = -2.0 * float(U[:, 2] @ (gb[:, 4] + gb[:, 5]))
-            da1 += w1 * np.trace(N1)
-            dN1 += w1 * a1 * tc.EYE3
-            if n == 8:
-                w2 = -2.0 * float(U[:, 2] @ (gb[:, 6] + gb[:, 7]))
-                da2 += w2 * np.trace(N2)
-                dN2 += w2 * a2 * tc.EYE3
-
+        dI, dIref = dX[:B], dX[B:]
+        Cinv = ws.Cinv
+        dSV = np.einsum("bij,bij->b", dS, Cinv)
+        VdSV = (Cinv @ dS @ Cinv).reshape(B, 9)
+        das = np.zeros(2)
+        dNs = [np.zeros((3, 3)), np.zeros((3, 3))]
+        for j, (k, N, a) in enumerate(ev.directions):
+            kk = [k, k + 1]
+            # invariant inputs a tr(C N), a tr(cof(C) N); both reference entries equal a
+            da = np.sum(dI[:, kk] * ev.Iu[:, kk]) + np.sum(dIref[:, kk])
+            # bases a N and a Bcof(C, N): dL/dB = 2 c dS
+            da += c[:, k] @ v[:, k] + c[:, k + 1] @ v[:, k + 1]
+            dN = dI[:, k] @ ws.C.reshape(B, 9) + dI[:, k + 1] @ ws.cof.reshape(B, 9)
+            dN += 2.0 * c[:, k] @ dS.reshape(B, 9)
+            # d(dS : det [tr(VN) V - V N V])/dN = det [(dS:V) V - V dS V]
+            w = 2.0 * c[:, k + 1] * ws.det
+            dN += (w * dSV) @ Cinv.reshape(B, 9) - w @ VdSV
+            dN = a * dN.reshape(3, 3)
+            trN = np.trace(N)
+            if cfg.mode == "nonpoly_linearC":
+                # Tref = sum_i gb_i Bref_i with Bref_k = a N, Bref_k+1 = a (tr(N) I - N)
+                E = (gb[:, kk].T @ dT).reshape(2, 3, 3)
+                da += np.vdot(E[0], N) + np.vdot(E[1], trN * tc.EYE3 - N)
+                dN += a * (E[0] + np.trace(E[1]) * tc.EYE3 - E[1])
+            else:
+                # explicit (a tr N) dependence of the o coefficient: c3 = -2 o
+                wo = -2.0 * float(U[:, 2] @ (gb[:, k] + gb[:, k + 1]))
+                da += wo * trN
+                dN += wo * a * tc.EYE3
+            das[j], dNs[j] = da, dN
         if train_alpha:
-            dalpha_bar = np.array([da1 * a1 * (1.0 - a1), da2 * a2 * (1.0 - a2)])
+            alphas = np.array([ev.a1, ev.a2])
+            dalpha_bar = das * alphas * (1.0 - alphas)
         if train_orient:
-            dphi, dp_raw = _orientation_adjoints(aniso, R, dN1, dN2)
+            dphi, dp_raw = _orientation_adjoints(aniso, aniso.structure()[2], *dNs)
 
     return LossGradients(loss, dnet, dalpha_bar, dphi, dp_raw, S_hat if want_stress else None)
-
-
-def _structure_adjoints(ws, dS, dI_c, dI_cof, dIr_c, dIr_cof, c_c, c_cof, cN, cofN, Bcof_unit, N, a):
-    """dL/da and dL/dN for one direction's invariant/basis appearances."""
-    # invariant inputs I = a tr(C N) and a tr(cof(C) N)
-    da = float(dI_c @ cN + dI_cof @ cofN)
-    dN = a * np.einsum("b,bij->ij", dI_c, ws.C)
-    dN += a * np.einsum("b,bij->ij", dI_cof, ws.cof)
-    # reference rows: both reference entries equal a
-    da += float(np.sum(dIr_c) + np.sum(dIr_cof))
-    # bases: dL/dB_i = 2 c_i dS with B = a N and a Bcof_unit(C, N)
-    da += 2.0 * float(np.einsum("b,bij,ij->", c_c, dS, N))
-    da += 2.0 * float(np.einsum("b,bij,bij->", c_cof, dS, Bcof_unit))
-    dN += 2.0 * a * np.einsum("b,bij->ij", c_c, dS)
-    # d(dS : det [tr(VN) V - V N V])/dN = det [(dS:V) V - V dS V]
-    dSV = np.einsum("bij,bij->b", dS, ws.Cinv)
-    VdSV = np.einsum("bij,bjk,bkl->bil", ws.Cinv, dS, ws.Cinv, optimize=True)
-    w = 2.0 * a * c_cof * ws.det
-    dN += np.einsum("b,b,bij->ij", w, dSV, ws.Cinv) - np.einsum("b,bij->ij", w, VdSV)
-    return da, dN
 
 
 def _orientation_adjoints(aniso, R, dN1, dN2):

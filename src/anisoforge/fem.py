@@ -126,6 +126,7 @@ class QuadratureData:
     wdetJ: np.ndarray  # (n_elems, 8 qp)
     edofs: np.ndarray  # (n_elems, 24) element dofs, node-major
     k_index: np.ndarray  # (n_elems * 24 * 24,) flat positions of element entries in K
+    voigt_grads: tuple  # (gM, gN), each (n_elems, 8 qp, 6, 8), from _voigt_gradients
 
 
 def precompute_quadrature(mesh):
@@ -139,7 +140,8 @@ def precompute_quadrature(mesh):
     dNdX = np.einsum("qad,eqmd->eqam", dN_all, invJ)
     edofs = (3 * mesh.elems[:, :, None] + np.arange(3)).reshape(-1, 24)
     k_index = (edofs[:, :, None] * mesh.n_dof + edofs[:, None, :]).ravel()
-    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index)
+    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index,
+                          _voigt_gradients(dNdX))
 
 
 def deformation_gradients(mesh, quad, u):
@@ -166,12 +168,20 @@ def strain_displacement(F, dNdX):
 
         B_(MN),(ai) = F_iN dN_a/dX_M + F_iM dN_a/dX_N   (halved for M = N)
     """
-    gM = dNdX[..., tc.VOIGT_I].swapaxes(-1, -2)  # (..., 6, 8), M of each Voigt pair (M, N)
-    gN = dNdX[..., tc.VOIGT_J].swapaxes(-1, -2)
+    return _strain_displacement(F, *_voigt_gradients(dNdX))
+
+
+def _voigt_gradients(dNdX):
+    """Shape gradients of the Voigt pairs (M, N), (gM, gN) each (..., 6, 8),
+    carrying the factor 1/2 on the normal rows (F-independent, so per mesh)."""
+    h = 0.5 * tc.VOIGT_WEIGHTS[:, None]
+    return h * dNdX[..., tc.VOIGT_I].swapaxes(-1, -2), h * dNdX[..., tc.VOIGT_J].swapaxes(-1, -2)
+
+
+def _strain_displacement(F, gM, gN):
     FM = F[..., tc.VOIGT_I].swapaxes(-1, -2)  # (..., 6, 3)
     FN = F[..., tc.VOIGT_J].swapaxes(-1, -2)
     Bm = gM[..., :, None] * FN[..., None, :] + gN[..., :, None] * FM[..., None, :]
-    Bm *= 0.5 * tc.VOIGT_WEIGHTS[:, None, None]
     return Bm.reshape(Bm.shape[:-2] + (24,))
 
 
@@ -190,11 +200,10 @@ def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True):
     F = deformation_gradients(mesh, quad, u)
     Fb = F.reshape(E * Q, 3, 3)
     Cb = np.einsum("bki,bkj->bij", Fb, Fb)
-    Db = np.broadcast_to(np.asarray(D, dtype=float), (E * Q, np.size(D))).copy()
     if with_tangent:
-        Sb, M66 = energy.tangent(model, Cb, Db, structure=structure, return_stress=True)
+        Sb, M66 = energy.tangent(model, Cb, D, structure=structure, return_stress=True)
     else:
-        Sb = energy.stress(model, Cb, Db, structure=structure)
+        Sb = energy.stress(model, Cb, D, structure=structure)
     S = Sb.reshape(E, Q, 3, 3)
 
     P = np.einsum("eqik,eqkm->eqim", F, S)
@@ -205,7 +214,7 @@ def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True):
         return AssemblyResult(residual, None, F, S)
 
     w = quad.wdetJ[:, :, None, None]
-    Bv = strain_displacement(F, quad.dNdX)  # (E, Q, 6, 24)
+    Bv = _strain_displacement(F, *quad.voigt_grads)  # (E, Q, 6, 24)
     WMB = w * np.matmul(M66.reshape(E, Q, 6, 6), Bv)
     Ke = np.matmul(Bv.reshape(E, Q * 6, 24).transpose(0, 2, 1), WMB.reshape(E, Q * 6, 24))
     WSg = w * np.matmul(quad.dNdX, S)  # (E, Q, 8, 3)
@@ -426,21 +435,22 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
             return np.inf
         return von_mises_max(state)
 
-    bounds = np.array([[0.0, np.pi], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+    bounds = inverse._orientation_bounds()
+    width = bounds[:, 1] - bounds[:, 0]
     rng = np.random.default_rng(seed)
-    best = None
-    summaries, traces = [], []
-    for k in range(restarts):
-        x0 = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(4)
+
+    def start():
+        x0 = bounds[:, 0] + width * rng.random(4)
         if np.linalg.norm(x0[1:]) < 1e-3:
             x0[1:] = np.array([0.3, 0.3, 0.9])
-        res = inverse.nelder_mead(objective, x0, step=0.2 * (bounds[:, 1] - bounds[:, 0]),
-                                  bounds=bounds, max_evals=max_evals, tol=tol)
-        summaries.append((res.x, res.fun, res.stop))
-        traces.append(res.history)
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun):
+        return x0
+
+    def minimize(x0, k):
+        return inverse.nelder_mead(objective, x0, step=0.2 * width, bounds=bounds,
+                                   max_evals=max_evals, tol=tol)
+
+    best, summaries, traces, _ = inverse._multistart(minimize, [start() for _ in range(restarts)])
+    if not np.isfinite(best.fun):
         raise RuntimeError("every restart failed to produce a converged solve")
     N1, N2, R = tc.structure_tensors(best.x[0], best.x[1:4])
     return OrientationFit(

@@ -274,15 +274,39 @@ class InversionResult:
 
 
 def stress_mismatch(model, C, S_obs, D, structure=None):
-    """Mean squared Frobenius residual of the surrogate stress on (C, S) pairs."""
-    D_rows = np.broadcast_to(np.asarray(D, dtype=float), (C.shape[0], np.size(D)))
-    S_hat = energy.stress(model, C, D_rows.copy(), structure=structure)
-    res = S_hat - S_obs
+    """Mean squared Frobenius residual of the surrogate stress on (C, S) pairs.
+
+    C may be a tc.CWorkspace, which a caller holding C fixed builds once.
+    """
+    res = energy.stress(model, C, D, structure=structure) - S_obs
     return float(np.mean(np.einsum("bij,bij->b", res, res)))
 
 
 def _orientation_bounds():
     return np.array([[0.0, np.pi], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+
+
+def _multistart(minimize, starts, f_target=None):
+    """Best of minimize(x0, k) over the start points, in order.
+
+    Stops early once the best value reaches f_target. Returns (best result,
+    per-restart (x, f, stop) summaries, per-restart histories, total evals).
+    """
+    if len(starts) < 1:
+        raise ValueError("restarts must be at least 1")
+    best = None
+    summaries, traces = [], []
+    total_evals = 0
+    for k, x0 in enumerate(starts):
+        res = minimize(x0, k)
+        total_evals += res.n_evals
+        summaries.append((res.x, res.fun, res.stop))
+        traces.append(res.history)
+        if best is None or res.fun < best.fun:
+            best = res
+        if f_target is not None and best.fun <= f_target:
+            break
+    return best, summaries, traces, total_evals
 
 
 def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed=0,
@@ -300,7 +324,7 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     """
     import warnings
 
-    C = np.asarray(C, dtype=float)
+    cw = tc.c_workspace(np.asarray(C, dtype=float))
     S_obs = np.asarray(S_obs, dtype=float)
     m = model.net.n_design
     if d_bounds is None:
@@ -310,6 +334,8 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     d_bounds = _as_bounds(d_bounds, m)
     fit_orientation = free_orientation and model.config.aniso_class != "iso"
     bounds = np.vstack([d_bounds, _orientation_bounds()]) if fit_orientation else d_bounds
+    if method not in ("cma", "nelder-mead"):
+        raise ValueError(f"unknown method {method!r}")
 
     def objective(x):
         structure = None
@@ -321,45 +347,28 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                return stress_mismatch(model, C, S_obs, x[:m], structure=structure)
+                return stress_mismatch(model, cw, S_obs, x[:m], structure=structure)
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
                 return np.inf
 
-    rng = np.random.default_rng(seed)
-    starts = [bounds.mean(axis=1)]
-    for _ in range(restarts - 1):
-        starts.append(bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(bounds.shape[0]))
-
-    trace_writer, trace_file = _open_trace(trace_path)
     opts = dict(options or {})
     step = opts.pop("step", None)
-    best = None
-    summaries = []
-    total_evals = 0
-    try:
-        for k, x0 in enumerate(starts):
-            if method == "cma":
-                s0 = sigma0 if sigma0 is not None else 0.3 * float(np.max(bounds[:, 1] - bounds[:, 0]))
-                res = cma_es(objective, x0, s0, bounds=bounds, max_evals=max_evals,
-                             f_target=f_target, seed=seed + 101 * k, **opts)
-            elif method == "nelder-mead":
-                res = nelder_mead(objective, x0,
-                                  step=0.25 * (bounds[:, 1] - bounds[:, 0]) if step is None else step,
-                                  bounds=bounds, max_evals=max_evals, f_target=f_target, **opts)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            total_evals += res.n_evals
-            summaries.append((res.x, res.fun, res.stop))
-            if trace_writer is not None:
-                for evals, fval in res.history:
-                    trace_writer.writerow([k, evals, f"{fval:.10e}"])
-            if best is None or res.fun < best.fun:
-                best = res
-            if f_target is not None and best.fun <= f_target:
-                break
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+    width = bounds[:, 1] - bounds[:, 0]
+
+    def minimize(x0, k):
+        if method == "cma":
+            s0 = sigma0 if sigma0 is not None else 0.3 * float(np.max(width))
+            return cma_es(objective, x0, s0, bounds=bounds, max_evals=max_evals,
+                          f_target=f_target, seed=seed + 101 * k, **opts)
+        return nelder_mead(objective, x0, step=0.25 * width if step is None else step,
+                           bounds=bounds, max_evals=max_evals, f_target=f_target, **opts)
+
+    rng = np.random.default_rng(seed)
+    starts = [bounds.mean(axis=1) if k == 0 else bounds[:, 0] + width * rng.random(bounds.shape[0])
+              for k in range(restarts)]
+    best, summaries, traces, total_evals = _multistart(minimize, starts, f_target)
+    if trace_path is not None:
+        _write_trace(trace_path, traces)
 
     orientation = None
     if fit_orientation:
@@ -374,12 +383,12 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     return InversionResult(best.x[:m].copy(), best.fun, total_evals, summaries, orientation)
 
 
-def _open_trace(trace_path):
-    if trace_path is None:
-        return None, None
+def _write_trace(trace_path, traces):
     path = Path(trace_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    f = open(path, "w", newline="")
-    writer = csv.writer(f)
-    writer.writerow(["restart", "evals", "best_objective"])
-    return writer, f
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["restart", "evals", "best_objective"])
+        for k, history in enumerate(traces):
+            for evals, fval in history:
+                writer.writerow([k, evals, f"{fval:.10e}"])

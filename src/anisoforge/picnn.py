@@ -31,6 +31,12 @@ which is exactly what fitting stresses (functions of grad_x psi) requires.
 The accumulator also returns dQ/dx, the Hessian-vector product term, used
 to chain into quantities the invariants depend on. Everything is verified
 against finite differences in the tests.
+
+The design path does not depend on x, so it only needs to run once per
+distinct design. Every entry point takes an optional index ``group``: Y
+then holds G design rows and row b of X is paired with Y[group[b]]. The
+design path and the Wxy projections run on the G rows and are gathered by
+group; backprop sums their adjoints back over the rows of each group.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 
 def softplus_sigmoid(z):
@@ -131,25 +138,30 @@ def init_params(n_inv, n_design, width_x=40, width_y=30, depth=3, constrained=Tr
     return PicnnParams(n_inv, n_design, width_x, width_y, depth, constrained, w)
 
 
-def _check_inputs(params, X, Y):
+def _check_inputs(params, X, Y, group=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != params.n_inv:
         raise ValueError(f"invariant input width {X.shape[1]} != {params.n_inv}")
     if Y.shape[1] != params.n_design:
         raise ValueError(f"design input width {Y.shape[1]} != {params.n_design}")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("batch sizes of invariant and design inputs differ")
+    if group is None:
+        if X.shape[0] != Y.shape[0]:
+            raise ValueError("batch sizes of invariant and design inputs differ")
+    else:
+        group = np.asarray(group, dtype=np.intp).ravel()
+        if group.size != X.shape[0] or group.min() < 0 or group.max() >= Y.shape[0]:
+            raise ValueError("group must map every invariant row to a design row")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("non-finite network input")
-    return X, Y
+    return X, Y, group
 
 
 class _Cache:
     __slots__ = ("X", "Y", "Xs", "Ys", "us", "su", "zs", "sz", "A", "w", "psi", "d", "s", "g")
 
 
-def _forward(params, X, Y):
+def _forward(params, X, Y, group=None):
     c = _Cache()
     c.X, c.Y = X, Y
     L = params.depth
@@ -164,7 +176,8 @@ def _forward(params, X, Y):
         c.Ys.append(sp)
     c.Xs, c.zs, c.sz = [X], [], []
     for h in range(L):
-        z = c.Xs[h] @ c.A[h].T + c.Ys[h + 1] @ params.weights[f"Wxy{h}"].T + params.weights[f"bx{h}"]
+        zy = c.Ys[h + 1] @ params.weights[f"Wxy{h}"].T + params.weights[f"bx{h}"]
+        z = c.Xs[h] @ c.A[h].T + (zy if group is None else zy[group])
         sp, sig = softplus_sigmoid(z)
         c.zs.append(z)
         c.sz.append(sig)
@@ -186,22 +199,20 @@ def _grad_pass(params, c):
     return c
 
 
-def value(params, X, Y):
+def value(params, X, Y, group=None):
     """psi for a batch: returns (B,) array."""
-    X, Y = _check_inputs(params, X, Y)
-    return _forward(params, X, Y).psi
+    return _forward(params, *_check_inputs(params, X, Y, group)).psi
 
 
-def value_and_grad(params, X, Y, return_cache=False):
+def value_and_grad(params, X, Y, return_cache=False, group=None):
     """psi and d psi / dx for a batch: ((B,), (B, n_inv))."""
-    X, Y = _check_inputs(params, X, Y)
-    c = _grad_pass(params, _forward(params, X, Y))
+    c = _grad_pass(params, _forward(params, *_check_inputs(params, X, Y, group)))
     if return_cache:
         return c.psi, c.g, c
     return c.psi, c.g
 
 
-def hess_inputs(params, X, Y, cache=None):
+def hess_inputs(params, X, Y, cache=None, group=None):
     """d^2 psi / dx dx for a batch: (B, n_inv, n_inv), symmetric.
 
     Forward-mode curvature: the input Jacobians of the pre-activations,
@@ -219,8 +230,8 @@ def hess_inputs(params, X, Y, cache=None):
     value_and_grad(..., return_cache=True) on the same inputs may be passed
     to skip recomputing the forward and gradient passes.
     """
-    X, Y = _check_inputs(params, X, Y)
-    c = cache if cache is not None else _grad_pass(params, _forward(params, X, Y))
+    X, Y, group = _check_inputs(params, X, Y, group)
+    c = cache if cache is not None else _grad_pass(params, _forward(params, X, Y, group))
     B, n = X.shape
     A0 = c.A[0]
     # first layer: Jz_0 = A_0 is shared by every row
@@ -237,7 +248,7 @@ def hess_inputs(params, X, Y, cache=None):
     return 0.5 * (H + H.transpose(0, 2, 1))
 
 
-def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None):
+def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None):
     """Reverse-mode gradients of Q = sum seed_val*psi + sum seed_grad.grad_x psi.
 
     Returns (dtheta, dX): dtheta maps weight names to gradient arrays with
@@ -247,17 +258,20 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None):
     A cache from value_and_grad(..., return_cache=True) on the same inputs
     may be passed to skip recomputing the forward and gradient passes.
     """
-    X, Y = _check_inputs(params, X, Y)
+    X, Y, group = _check_inputs(params, X, Y, group)
     L = params.depth
     B = X.shape[0]
     if cache is None:
-        cache = _forward(params, X, Y)
+        cache = _forward(params, X, Y, group)
         if seed_grad is not None:
             _grad_pass(params, cache)
     c = cache
+    # design-path adjoints are summed over the rows sharing a design row
+    scatter = None if group is None else scipy.sparse.csr_array(
+        (np.ones(B), group, np.arange(B + 1)), shape=(B, Y.shape[0])).T
     dA = [np.zeros_like(c.A[h]) for h in range(L)]
-    dWxy = [np.zeros_like(params.weights[f"Wxy{h}"]) for h in range(L)]
-    dbx = [np.zeros(params.width_x) for _ in range(L)]
+    dWxy = [None] * L
+    dbx = [None] * L
     dz = [np.zeros((B, params.width_x)) for _ in range(L)]
     dXs = [np.zeros_like(c.Xs[h]) for h in range(L + 1)]
     dYs = [np.zeros_like(c.Ys[h]) for h in range(L + 1)]
@@ -285,9 +299,11 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None):
         dz_h = dz[h] + c.sz[h] * dXs[h + 1]
         dA[h] += dz_h.T @ c.Xs[h]
         dXs[h] += dz_h @ c.A[h]
-        dWxy[h] += dz_h.T @ c.Ys[h + 1]
+        if scatter is not None:
+            dz_h = scatter @ dz_h
+        dWxy[h] = dz_h.T @ c.Ys[h + 1]
         dYs[h + 1] += dz_h @ params.weights[f"Wxy{h}"]
-        dbx[h] += dz_h.sum(axis=0)
+        dbx[h] = dz_h.sum(axis=0)
 
     dtheta = {}
     for h in range(L - 1, -1, -1):

@@ -27,6 +27,8 @@ finite-difference checks in the test suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 VOIGT = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -101,6 +103,30 @@ def _cofactor_det(C):
     cof = cofactor_sym(C)
     det = C[..., 0, 0] * cof[..., 0, 0] + C[..., 0, 1] * cof[..., 0, 1] + C[..., 0, 2] * cof[..., 0, 2]
     return cof, det
+
+
+@dataclass
+class CWorkspace:
+    """Per-C quantities shared by the invariants, bases and curvature kernels."""
+
+    C: np.ndarray
+    cof: np.ndarray
+    det: np.ndarray
+    J: np.ndarray
+    Cinv: np.ndarray
+
+
+def c_workspace(C):
+    """CWorkspace of C, built from one cofactor evaluation; a CWorkspace passes through.
+
+    invariants, invariant_bases and curvature_66 accept either C or its
+    CWorkspace, so a caller holding C fixed computes the cofactors once.
+    """
+    if isinstance(C, CWorkspace):
+        return C
+    C = np.asarray(C, dtype=float)
+    cof, det = _cofactor_det(C)
+    return CWorkspace(C, cof, det, np.sqrt(det), cof / det[..., None, None])
 
 
 def det_sym(C):
@@ -222,7 +248,7 @@ def invariants(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
 
     Parameters
     ----------
-    C : (..., 3, 3) symmetric positive definite.
+    C : (..., 3, 3) symmetric positive definite, or its CWorkspace.
     N1, N2 : (3, 3) structure tensors; required when n_active > 4.
     alpha1, alpha2 : activity factors scaling the anisotropic entries.
     n_active : 4 (isotropic), 6 (transversely isotropic) or 8 (orthotropic).
@@ -231,9 +257,8 @@ def invariants(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     -------
     (..., n_active) array (I1, I2, I3, I4[, I5, I6[, I7, I8]]).
     """
-    C = np.asarray(C, dtype=float)
-    cof, det = _cofactor_det(C)
-    J = np.sqrt(det)
+    w = c_workspace(C)
+    C, cof, J = w.C, w.cof, w.J
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     I2 = cof[..., 0, 0] + cof[..., 1, 1] + cof[..., 2, 2]
     cols = [I1, I2, J, -2.0 * J]
@@ -270,11 +295,9 @@ def invariant_bases(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     The anisotropic entries are symmetric by construction and symmetrized
     once more to shed roundoff asymmetry.
     """
-    C = np.asarray(C, dtype=float)
+    w = c_workspace(C)
+    C, det, J, Cinv = w.C, w.det, w.J, w.Cinv
     shp = C.shape[:-2]
-    cof, det = _cofactor_det(C)
-    J = np.sqrt(det)
-    Cinv = cof / det[..., None, None]
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     eye = np.broadcast_to(EYE3, shp + (3, 3))
     out = np.empty(shp + (n_active, 3, 3))
@@ -360,11 +383,10 @@ def curvature_66(C, weights, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=
     and with the weighted sum P = sum_a w_a a det(C) M_a, so the sum takes
     the same six products whatever the number of invariants.
     """
-    C = np.asarray(C, dtype=float)
+    cw = c_workspace(C)
+    det, V = cw.det, cw.Cinv
     w = np.asarray(weights, dtype=float)
-    cof, det = _cofactor_det(C)
-    V = cof / det[..., None, None]
-    kJ = (0.25 * w[..., 2] - 0.5 * w[..., 3]) * np.sqrt(det)
+    kJ = (0.25 * w[..., 2] - 0.5 * w[..., 3]) * cw.J
     s = np.zeros_like(kJ)
     P = np.zeros(kJ.shape + (3, 3))
     blocks = []

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energy, inverse
+from . import energy
 from . import tensor_core as tc
 
 ACTIVE_THRESHOLD = 0.5
@@ -315,31 +315,16 @@ def classify(model, active=ACTIVE_THRESHOLD, inactive=INACTIVE_THRESHOLD):
 def extract_directions(model, active=ACTIVE_THRESHOLD):
     """Unit directions of the active structure tensors, as (label, vector).
 
-    The directions are decoded from the trained structure tensors N_i by a
-    simplex search on ||n (x) n - N_i||^2 (determined up to sign); inactive
-    factors contribute nothing. Retries from the coordinate axes if a start
-    lands on a saddle.
+    N_i = r_i r_i^T is built from the rotation columns r_i = R e_i, so the
+    directions are those columns; inactive factors contribute nothing.
     """
     if model.aniso is None:
         return []
-    N1, N2, _ = model.aniso.structure()
+    R = model.aniso.structure()[2]
+    found = [("n1", R[:, 0].copy()), ("n2", R[:, 1].copy())]
     if model.aniso.alpha_bar is None:
-        active_sets = [("n1", N1), ("n2", N2)][: max(0, (model.config.n_active - 4) // 2)]
-    else:
-        a1, a2 = model.aniso.alphas()
-        active_sets = []
-        if a1 > active:
-            active_sets.append(("n1", N1))
-        if a2 > active:
-            active_sets.append(("n2", N2))
-    out = []
-    for label, N in active_sets:
-        for x0 in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
-            n, res = inverse.fit_direction(N, x0=x0)
-            if res.fun < 1e-8:
-                break
-        out.append((label, n))
-    return out
+        return found[: max(0, (model.config.n_active - 4) // 2)]
+    return [d for d, a in zip(found, model.aniso.alphas()) if a > active]
 
 
 @dataclass
@@ -374,5 +359,5 @@ def uniaxial_sweep(model, D, n=41, f11_range=(0.8, 1.2)):
     lams = np.linspace(f11_range[0], f11_range[1], n)
     C = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
     C[:, 0, 0] = lams**2
-    S = energy.stress(model, C, np.broadcast_to(np.asarray(D, float), (n, np.size(D))).copy())
+    S = energy.stress(model, C, D)
     return lams, S

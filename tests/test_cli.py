@@ -276,6 +276,13 @@ def test_invert_garbage_checkpoint_exits_4(root, iso_dataset, tmp_path, capsys):
     assert "cannot load checkpoint" in capsys.readouterr().err
 
 
+def test_invert_zero_restarts_exits_2(root, iso_ckpt, iso_dataset, capsys):
+    rc = run_cli("invert", "--model", iso_ckpt, "--data", iso_dataset, "--restarts", "0",
+                 "--runs-root", root, "--run", "inv-r0")
+    assert rc == 2
+    assert "restarts" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # FE commands
 
@@ -333,6 +340,20 @@ def test_fem_invert_iso_is_insensitive(root, iso_ckpt, capsys):
     assert "no effect" in capsys.readouterr().out
     report = json.loads((root / "fi-iso" / "reports" / "orientation.json").read_text())
     assert report["insensitive"]
+
+
+def test_fem_invert_zero_restarts_exits_2(root, trans_dataset, capsys):
+    rc = run_cli(
+        "train", "--data", trans_dataset, "--runs-root", root, "--run", "train-tr-r0",
+        "--known-class", "trans", "--epochs", "1",
+        "--width-x", "4", "--width-y", "4", "--depth", "1",
+    )
+    assert rc == 0
+    ckpt = root / "train-tr-r0" / "checkpoints" / "model.json"
+    rc = run_cli("fem-invert", "--model", ckpt, "--d", "3.0,5.0", "--divisions", "2,1,1",
+                 "--restarts", "0", "--runs-root", root, "--run", "fi-r0")
+    assert rc == 2
+    assert "restarts" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
