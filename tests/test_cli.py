@@ -409,3 +409,132 @@ def test_thread_cap_env_fallback(monkeypatch):
 def test_thread_cap_rejects_garbage():
     with pytest.raises(cli.UsageError):
         cli._apply_thread_cap(["--threads", "zero"])
+
+
+# ---------------------------------------------------------------------------
+# every config key: file values echo unchanged, flags override them
+
+import configparser  # noqa: E402
+
+# Two non-default settings per section, written exactly as resolved.ini
+# echoes them. FILE_VALUES go into the config file; FLAG_VALUES are passed
+# as flags where the command has one, so the echo shows which source won.
+FILE_VALUES = {
+    "data": {
+        "model": "aniso-hgo", "class": "trans", "grid": "2x2", "nf": "5",
+        "delta": "0.15", "seed": "7", "independent_f": "true", "sampler": "polar",
+        "stretch_lo": "0.85", "stretch_hi": "1.3", "dedupe": "true", "dedupe_tol": "1e-09",
+    },
+    "train": {
+        "epochs": "3", "lr": "0.002", "eps": "0.002", "p": "0.5", "warmup_frac": "0.2",
+        "seed": "4", "log_every": "1", "early_stop": "true", "plateau_tol": "1e-09",
+        "plateau_window": "50", "normalize_components": "true", "known_class": "trans",
+        "direction": "0,0,1", "direction2": "1,0,0", "mode": "unconstrained",
+        "gamma": "0.5", "width_x": "5", "width_y": "4", "depth": "2",
+    },
+    "inverse": {
+        "method": "nelder-mead", "restarts": "2", "seed": "3", "max_evals": "40",
+        "f_target": "1e-30", "sigma0": "0.5", "popsize": "6", "tol_x": "1e-12",
+        "tol_stagnation": "100", "step": "0.2", "tol": "1e-09", "reflection": "1.1",
+        "expansion": "1.9", "contraction": "0.45", "shrink": "0.55",
+        "free_orientation": "true",
+    },
+    "fem": {
+        "lengths": "2,1,1", "divisions": "2,1,1", "u0": "0.02", "n_steps": "1",
+        "tol": "1e-08", "max_iter": "20", "d": "3.0,3.0", "phi": "0.3", "axis": "0,0,1",
+        "restarts": "1", "seed": "2", "max_evals": "4",
+    },
+}
+
+FLAG_VALUES = {
+    "data": {
+        "model": "neo-hookean", "class": "iso", "grid": "2x1", "nf": "4",
+        "delta": "0.1", "seed": "5", "independent_f": "false", "sampler": "lhs",
+        "stretch_lo": "0.9", "stretch_hi": "1.2", "dedupe": "false", "dedupe_tol": "1e-07",
+    },
+    "train": {
+        "epochs": "2", "lr": "0.003", "eps": "0.004", "p": "0.75", "warmup_frac": "0.3",
+        "seed": "6", "log_every": "2", "early_stop": "false", "plateau_tol": "1e-08",
+        "plateau_window": "40", "normalize_components": "false", "known_class": "iso",
+        "direction": "0,1,0", "direction2": "0,0,1", "mode": "nonpoly_linearC",
+        "gamma": "0.25", "width_x": "4", "width_y": "3", "depth": "1",
+    },
+    "inverse": {
+        "method": "cma", "restarts": "1", "seed": "8", "max_evals": "30",
+        "f_target": "1e-28", "sigma0": "0.4", "popsize": "5", "tol_x": "1e-11",
+        "tol_stagnation": "90", "step": "0.3", "tol": "1e-08", "reflection": "0.9",
+        "expansion": "2.1", "contraction": "0.4", "shrink": "0.6",
+        "free_orientation": "false",
+    },
+    "fem": {
+        "lengths": "3,1,1", "divisions": "2,1,1", "u0": "0.01", "n_steps": "1",
+        "tol": "1e-07", "max_iter": "15", "d": "2.5,3.5", "phi": "0.2", "axis": "1,0,0",
+        "restarts": "1", "seed": "9", "max_evals": "3",
+    },
+}
+
+# the section keys each command takes as flags; study-samples spells the
+# data seed --data-seed
+COMMAND_FLAGS = {
+    "gen-data": {"data": set(FILE_VALUES["data"])},
+    "train": {"train": set(FILE_VALUES["train"])},
+    "invert": {"inverse": set(FILE_VALUES["inverse"])},
+    "fem": {"fem": set(FILE_VALUES["fem"]) - {"restarts", "seed", "max_evals"}},
+    "fem-invert": {"fem": set(FILE_VALUES["fem"])},
+    "study-samples": {
+        "data": {"model", "class", "grid", "delta", "seed", "independent_f"},
+        "train": {"epochs", "lr", "eps", "seed", "log_every", "known_class", "mode",
+                  "width_x", "width_y", "depth"},
+    },
+}
+
+
+def _flag_argv(command, flags):
+    argv = []
+    for section, keys in flags.items():
+        for key in sorted(keys):
+            value = FLAG_VALUES[section][key]
+            name = key.replace("_", "-")
+            if command == "study-samples" and (section, key) == ("data", "seed"):
+                name = "data-seed"
+            if value in ("true", "false"):
+                argv.append(f"--{name}" if value == "true" else f"--no-{name}")
+            else:
+                argv += [f"--{name}", value]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("with_flags", [False, True], ids=["file", "flags"])
+def test_every_key_echoes_and_flags_override(root, iso_dataset, iso_ckpt, tmp_path,
+                                             command, with_flags):
+    sections = COMMAND_FLAGS[command]
+    cfg = tmp_path / "all.ini"
+    parser = configparser.ConfigParser()
+    for section in sections:
+        parser[section] = FILE_VALUES[section]
+    with open(cfg, "w") as f:
+        parser.write(f)
+    inputs = {
+        "gen-data": ["--out", tmp_path / "d.txt"],
+        "train": ["--data", iso_dataset],
+        "invert": ["--model", iso_ckpt, "--data", iso_dataset],
+        "fem": ["--model", iso_ckpt],
+        "fem-invert": ["--model", iso_ckpt],
+        "study-samples": ["--sizes", "3"],
+    }[command]
+    run = f"echo-{command}-{int(with_flags)}"
+    argv = [command, "--config", cfg, "--runs-root", root, "--run", run, *inputs]
+    if with_flags:
+        argv += _flag_argv(command, sections)
+    assert run_cli(*argv) == 0
+
+    echoed = configparser.ConfigParser()
+    echoed.read(root / run / "config" / "resolved.ini")
+    assert set(echoed.sections()) == set(sections)
+    for section, flagged in sections.items():
+        expected = {
+            key: FLAG_VALUES[section][key] if with_flags and key in flagged else value
+            for key, value in FILE_VALUES[section].items()
+        }
+        assert dict(echoed[section]) == expected
