@@ -4,7 +4,9 @@ and the finite-element harness together.
 Configuration lives in an INI file with sections [data], [train],
 [inverse], [fem]; command-line flags override file values, and the fully
 resolved configuration is echoed into the run directory so every command
-can be reproduced from it. Artifacts land under
+can be reproduced from it. SECTIONS declares every key once: its parser,
+default, help and choices, from which the config check, the defaults and
+each command's flags follow. Artifacts land under
 runs/<name>/{config,checkpoints,logs,reports}.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 
 class UsageError(Exception):
@@ -69,7 +72,9 @@ def _apply_thread_cap(argv):
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration schema: one table per section. Each key gets its config-file
+# parser, its default and its flag from here; plain builtins only, so the
+# table loads before numpy.
 
 
 def _bool(raw):
@@ -81,148 +86,83 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-DATA_KEYS = {
-    "model": str,
-    "class": str,
-    "grid": str,
-    "nf": int,
-    "delta": float,
-    "seed": int,
-    "independent_f": _bool,
-    "sampler": str,
-    "stretch_lo": float,
-    "stretch_hi": float,
-    "dedupe": _bool,
-    "dedupe_tol": float,
-}
+class Opt(NamedTuple):
+    """One config key: file-value parser, default, flag help, allowed values."""
 
-TRAIN_KEYS = {
-    "epochs": int,
-    "lr": float,
-    "eps": float,
-    "p": float,
-    "warmup_frac": float,
-    "seed": int,
-    "log_every": int,
-    "early_stop": _bool,
-    "plateau_tol": float,
-    "plateau_window": int,
-    "normalize_components": _bool,
-    "known_class": str,
-    "direction": str,
-    "direction2": str,
-    "mode": str,
-    "gamma": float,
-    "width_x": int,
-    "width_y": int,
-    "depth": int,
-}
+    parse: object
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
 
-INVERSE_KEYS = {
-    "method": str,
-    "restarts": int,
-    "seed": int,
-    "max_evals": int,
-    "f_target": float,
-    "sigma0": float,
-    "popsize": int,
-    "tol_x": float,
-    "tol_stagnation": int,
-    "step": float,
-    "tol": float,
-    "reflection": float,
-    "expansion": float,
-    "contraction": float,
-    "shrink": float,
-    "free_orientation": _bool,
-}
 
-FEM_KEYS = {
-    "lengths": str,
-    "divisions": str,
-    "u0": float,
-    "n_steps": int,
-    "tol": float,
-    "max_iter": int,
-    "d": str,
-    "phi": float,
-    "axis": str,
-    "restarts": int,
-    "seed": int,
-    "max_evals": int,
-}
-
-VALID_KEYS = {"data": DATA_KEYS, "train": TRAIN_KEYS, "inverse": INVERSE_KEYS, "fem": FEM_KEYS}
-
-DATA_DEFAULTS = {
-    "model": None,
-    "class": None,
-    "grid": None,
-    "nf": 260,
-    "delta": 0.2,
-    "seed": 0,
-    "independent_f": False,
-    "sampler": "lhs",
-    "stretch_lo": 0.8,
-    "stretch_hi": 1.45,
-    "dedupe": False,
-    "dedupe_tol": 1e-8,
-}
-
-TRAIN_DEFAULTS = {
-    "epochs": 20000,
-    "lr": 1e-3,
-    "eps": 1e-3,
-    "p": 0.25,
-    "warmup_frac": 0.1,
-    "seed": 0,
-    "log_every": 100,
-    "early_stop": False,
-    "plateau_tol": 1e-10,
-    "plateau_window": 1000,
-    "normalize_components": False,
-    "known_class": None,
-    "direction": None,
-    "direction2": None,
-    "mode": "polyconvex",
-    "gamma": 1.0,
-    "width_x": 40,
-    "width_y": 30,
-    "depth": 3,
-}
-
-INVERSE_DEFAULTS = {
-    "method": "cma",
-    "restarts": 5,
-    "seed": 0,
-    "max_evals": 6000,
-    "f_target": None,
-    "sigma0": None,
-    "popsize": None,
-    "tol_x": 1e-14,
-    "tol_stagnation": 200,
-    "step": None,
-    "tol": 1e-10,
-    "reflection": 1.0,
-    "expansion": 2.0,
-    "contraction": 0.5,
-    "shrink": 0.5,
-    "free_orientation": False,
-}
-
-FEM_DEFAULTS = {
-    "lengths": "4,1,1",
-    "divisions": "8,2,2",
-    "u0": 0.1,
-    "n_steps": 5,
-    "tol": 1e-9,
-    "max_iter": 25,
-    "d": None,
-    "phi": None,
-    "axis": None,
-    "restarts": 5,
-    "seed": 0,
-    "max_evals": 150,
+SECTIONS = {
+    "data": {
+        "model": Opt(str, None, "material: neo-hookean or aniso-hgo"),
+        "class": Opt(str, None, "anisotropy class for aniso-hgo: trans or ortho"),
+        "grid": Opt(str, None, "design grid counts, e.g. 5x5 or 3x3x3"),
+        "nf": Opt(int, 260, "deformation samples per design point"),
+        "delta": Opt(float, 0.2, "entrywise half-width of the F box"),
+        "seed": Opt(int, 0, "seed for the dataset draws"),
+        "independent_f": Opt(_bool, False, "fresh deformation draws per design point"),
+        "sampler": Opt(str, "lhs", None, ("lhs", "polar")),
+        "stretch_lo": Opt(float, 0.8, "polar sampler lower stretch bound"),
+        "stretch_hi": Opt(float, 1.45, "polar sampler upper stretch bound"),
+        "dedupe": Opt(_bool, False, "drop samples that coincide in invariant space"),
+        "dedupe_tol": Opt(float, 1e-8),
+    },
+    "train": {
+        "epochs": Opt(int, 20000),
+        "lr": Opt(float, 1e-3),
+        "eps": Opt(float, 1e-3, "sparsity penalty weight"),
+        "p": Opt(float, 0.25, "sparsity penalty exponent"),
+        "warmup_frac": Opt(float, 0.1),
+        "seed": Opt(int, 0, "training seed"),
+        "log_every": Opt(int, 100),
+        "early_stop": Opt(_bool, False),
+        "plateau_tol": Opt(float, 1e-10),
+        "plateau_window": Opt(int, 1000),
+        "normalize_components": Opt(_bool, False),
+        "known_class": Opt(str, None, "fix the class: iso, trans, or ortho"),
+        "direction": Opt(str, None, "first preferred direction, e.g. 0,0,1"),
+        "direction2": Opt(str, None, "second preferred direction"),
+        "mode": Opt(str, "polyconvex", None, ("polyconvex", "nonpoly_linearC", "unconstrained")),
+        "gamma": Opt(float, 1.0, "volumetric growth weight"),
+        "width_x": Opt(int, 40),
+        "width_y": Opt(int, 30),
+        "depth": Opt(int, 3),
+    },
+    "inverse": {
+        "method": Opt(str, "cma", None, ("cma", "nelder-mead")),
+        "restarts": Opt(int, 5),
+        "seed": Opt(int, 0),
+        "max_evals": Opt(int, 6000),
+        "f_target": Opt(float),
+        "sigma0": Opt(float, None, "CMA-ES initial step size"),
+        "popsize": Opt(int, None, "CMA-ES population size"),
+        "tol_x": Opt(float, 1e-14, "CMA-ES step-size stop tolerance"),
+        "tol_stagnation": Opt(int, 200, "CMA-ES stagnation window"),
+        "step": Opt(float, None, "simplex initial edge length"),
+        "tol": Opt(float, 1e-10, "simplex diameter stop tolerance"),
+        "reflection": Opt(float, 1.0),
+        "expansion": Opt(float, 2.0),
+        "contraction": Opt(float, 0.5),
+        "shrink": Opt(float, 0.5),
+        "free_orientation": Opt(_bool, False, "also fit the orientation (phi, axis)"),
+    },
+    "fem": {
+        "d": Opt(str, None, "design vector, e.g. 2.0,3.0"),
+        "phi": Opt(float, None, "orientation angle override"),
+        "axis": Opt(str, None, "orientation axis override, e.g. 0,0,1"),
+        "lengths": Opt(str, "4,1,1", "beam dimensions, e.g. 4,1,1"),
+        "divisions": Opt(str, "8,2,2", "mesh divisions, e.g. 8,2,2"),
+        "u0": Opt(float, 0.1, "midspan dip magnitude"),
+        "n_steps": Opt(int, 5),
+        "tol": Opt(float, 1e-9, "Newton residual tolerance"),
+        "max_iter": Opt(int, 25),
+        "restarts": Opt(int, 5),
+        "seed": Opt(int, 0),
+        "max_evals": Opt(int, 150),
+    },
 }
 
 
@@ -238,38 +178,42 @@ def load_config(path):
         raise UsageError(f"malformed config file {path}: {e}")
     out = {}
     for section in parser.sections():
-        if section not in VALID_KEYS:
+        if section not in SECTIONS:
             raise UsageError(
                 f"unknown config section [{section}]; valid sections: "
-                + ", ".join(sorted(VALID_KEYS))
+                + ", ".join(sorted(SECTIONS))
             )
-        keys = VALID_KEYS[section]
+        opts = SECTIONS[section]
         out[section] = {}
         for key, raw in parser[section].items():
-            if key not in keys:
+            if key not in opts:
                 raise UsageError(
                     f"unknown key {key!r} in [{section}]; valid keys: "
-                    + ", ".join(sorted(keys))
+                    + ", ".join(sorted(opts))
                 )
+            opt = opts[key]
             try:
-                out[section][key] = keys[key](raw)
+                out[section][key] = opt.parse(raw)
             except ValueError:
                 raise UsageError(f"bad value for {section}.{key}: {raw!r}")
+            if opt.choices and out[section][key] not in opt.choices:
+                raise UsageError(
+                    f"bad value for {section}.{key}: {raw!r}; expected one of "
+                    + ", ".join(opt.choices)
+                )
     return out
 
 
-def resolve_section(section, args, defaults, aliases=None):
+def resolve_section(section, args):
     """defaults <- config file <- command-line flags, skipping unset flags.
 
-    aliases maps config keys to argparse attribute names where they differ
-    (e.g. the [data] key "class" lives on args.klass).
+    A key's flag stores its value under the attribute "<section>.<key>".
     """
-    aliases = aliases or {}
-    resolved = dict(defaults)
-    file_cfg = load_config(args.config) if args.config else {}
-    resolved.update(file_cfg.get(section, {}))
-    for key in defaults:
-        flag = getattr(args, aliases.get(key, key), None)
+    resolved = {key: opt.default for key, opt in SECTIONS[section].items()}
+    if args.config:
+        resolved.update(load_config(args.config).get(section, {}))
+    for key in resolved:
+        flag = getattr(args, f"{section}.{key}", None)
         if flag is not None:
             resolved[key] = flag
     return resolved
@@ -332,6 +276,16 @@ def _ints(raw, sep, what):
         raise UsageError(f"{what} must be {sep!r}-separated integers, got {raw!r}")
 
 
+CLASS_NAMES = {"iso": "iso", "trans": "transiso", "transiso": "transiso", "ortho": "ortho"}
+
+
+def _class_name(raw, flag, allowed=("iso", "trans", "ortho")):
+    """Canonical anisotropy class of a --class or --known-class value."""
+    if CLASS_NAMES.get(raw) not in {CLASS_NAMES[a] for a in allowed}:
+        raise UsageError(f"unknown {flag} {raw!r}; expected {', '.join(allowed)}")
+    return CLASS_NAMES[raw]
+
+
 def _aniso_class(model, cls):
     """Map the material/--class flags onto an anisotropy class name."""
     if model is None:
@@ -341,11 +295,22 @@ def _aniso_class(model, cls):
             raise UsageError("neo-hookean is isotropic; drop --class")
         return "iso"
     if model == "aniso-hgo":
-        mapped = {None: "ortho", "ortho": "ortho", "trans": "transiso", "transiso": "transiso"}
-        if cls not in mapped:
-            raise UsageError(f"unknown --class {cls!r}; expected trans or ortho")
-        return mapped[cls]
+        return _class_name("ortho" if cls is None else cls, "--class", ("trans", "ortho"))
     raise UsageError(f"unknown --model {model!r}; expected neo-hookean or aniso-hgo")
+
+
+def _design_vector(raw, model):
+    """The --d design vector, checked against the checkpoint's design width."""
+    import numpy as np
+
+    if raw is None:
+        raise UsageError("--d is required (comma-separated design vector)")
+    d = np.asarray(_floats(raw, what="--d"), dtype=float)
+    if d.size != model.net.n_design:
+        raise UsageError(
+            f"--d has {d.size} entries but the checkpoint expects {model.net.n_design}"
+        )
+    return d
 
 
 def _load_dataset(path):
@@ -374,37 +339,25 @@ def _data_config(resolved, n_f=None):
 
     aniso_class = _aniso_class(resolved["model"], resolved["class"])
     grid = None
-    grid_points = 5
     if resolved["grid"] is not None:
+        ranges = datagen.DEFAULT_GRIDS[aniso_class]
         counts = _ints(resolved["grid"], "x", "--grid")
-        names = list(datagen.DEFAULT_GRIDS[aniso_class])
-        if len(counts) != len(names):
+        if len(counts) != len(ranges):
             raise UsageError(
                 f"--grid has {len(counts)} axes but class {aniso_class} has "
-                f"{len(names)} design parameters ({', '.join(names)})"
+                f"{len(ranges)} design parameters ({', '.join(ranges)})"
             )
         if min(counts) < 1:
             raise UsageError("--grid counts must be positive")
-        grid = {
-            name: np.linspace(lo, hi, counts[i])
-            for i, (name, (lo, hi)) in enumerate(datagen.DEFAULT_GRIDS[aniso_class].items())
-        }
-    try:
-        return datagen.DataConfig(
-            aniso_class=aniso_class,
-            grid=grid,
-            grid_points=grid_points,
-            n_f=resolved["nf"] if n_f is None else n_f,
-            delta=resolved["delta"],
-            seed=resolved["seed"],
-            independent_f=resolved["independent_f"],
-            sampler=resolved["sampler"],
-            stretch_bounds=(resolved["stretch_lo"], resolved["stretch_hi"]),
-            dedupe=resolved["dedupe"],
-            dedupe_tol=resolved["dedupe_tol"],
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+        grid = {name: np.linspace(lo, hi, n) for (name, (lo, hi)), n in zip(ranges.items(), counts)}
+    shared = ("delta", "seed", "independent_f", "sampler", "dedupe", "dedupe_tol")
+    return datagen.DataConfig(
+        aniso_class=aniso_class,
+        grid=grid,
+        n_f=resolved["nf"] if n_f is None else n_f,
+        stretch_bounds=(resolved["stretch_lo"], resolved["stretch_hi"]),
+        **{key: resolved[key] for key in shared},
+    )
 
 
 def _fem_config(resolved, model):
@@ -412,48 +365,27 @@ def _fem_config(resolved, model):
 
     from . import fem
 
-    if resolved["d"] is None:
-        raise UsageError("--d is required (comma-separated design vector)")
-    d = np.asarray(_floats(resolved["d"], what="--d"), dtype=float)
-    if d.size != model.net.n_design:
-        raise UsageError(
-            f"--d has {d.size} entries but the checkpoint expects {model.net.n_design}"
-        )
     axis = resolved["axis"]
-    if axis is not None:
-        axis = np.asarray(_floats(axis, n=3, what="--axis"), dtype=float)
     try:
         return fem.FemConfig(
+            D=_design_vector(resolved["d"], model),
+            p_raw=None if axis is None else np.asarray(_floats(axis, n=3, what="--axis")),
             lengths=tuple(_floats(resolved["lengths"], n=3, what="--lengths")),
             divisions=tuple(_ints(resolved["divisions"], ",", "--divisions")),
-            u0=resolved["u0"],
-            n_steps=resolved["n_steps"],
-            tol=resolved["tol"],
-            max_iter=resolved["max_iter"],
-            D=d,
-            phi=resolved["phi"],
-            p_raw=axis,
+            **{key: resolved[key] for key in ("u0", "n_steps", "tol", "max_iter", "phi")},
         )
     except ValueError as e:
         raise UsageError(str(e))
 
 
 def _train_config(resolved):
+    from dataclasses import fields
+
     from . import training
 
     try:
         return training.TrainConfig(
-            epochs=resolved["epochs"],
-            lr=resolved["lr"],
-            eps=resolved["eps"],
-            p=resolved["p"],
-            warmup_frac=resolved["warmup_frac"],
-            seed=resolved["seed"],
-            log_every=resolved["log_every"],
-            early_stop=resolved["early_stop"],
-            plateau_tol=resolved["plateau_tol"],
-            plateau_window=resolved["plateau_window"],
-            normalize_components=resolved["normalize_components"],
+            **{f.name: resolved[f.name] for f in fields(training.TrainConfig)}
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -465,21 +397,13 @@ def _fresh_model(resolved, n_design):
 
     from . import training
 
-    net_kwargs = {
-        "mode": resolved["mode"],
-        "gamma": resolved["gamma"],
-        "seed": resolved["seed"],
-        "width_x": resolved["width_x"],
-        "width_y": resolved["width_y"],
-        "depth": resolved["depth"],
-    }
+    net_keys = ("mode", "gamma", "seed", "width_x", "width_y", "depth")
+    net_kwargs = {key: resolved[key] for key in net_keys}
     known = resolved["known_class"]
     try:
         if known is None:
             return training.model_for_discovery(n_design, **net_kwargs)
-        mapped = {"iso": "iso", "trans": "transiso", "transiso": "transiso", "ortho": "ortho"}
-        if known not in mapped:
-            raise UsageError(f"unknown --known-class {known!r}; expected iso, trans, or ortho")
+        aniso_class = _class_name(known, "--known-class")
         n1 = n2 = None
         if resolved["direction"] is not None:
             n1 = np.asarray(_floats(resolved["direction"], n=3, what="--direction"), dtype=float)
@@ -493,7 +417,7 @@ def _fresh_model(resolved, n_design):
                 seed_axis = np.eye(3)[int(np.argmin(np.abs(n1)))]
                 n2 = seed_axis - (seed_axis @ n1) * n1
                 n2 = n2 / np.linalg.norm(n2)
-        return training.model_for_known_class(n_design, mapped[known], n1=n1, n2=n2, **net_kwargs)
+        return training.model_for_known_class(n_design, aniso_class, n1=n1, n2=n2, **net_kwargs)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -510,28 +434,22 @@ def _check_class_metadata(model, ds, what):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed flags, the run directory and its resolved
+# config sections; main echoes those sections once the command succeeds
 
 
-def cmd_gen_data(args):
-    run = make_run_dir(args)
-    resolved = resolve_section("data", args, DATA_DEFAULTS, aliases={"class": "klass"})
-    cfg = _data_config(resolved)
-
+def cmd_gen_data(args, run, sections):
     from . import datagen
 
-    ds = datagen.build_dataset(cfg)
+    ds = datagen.build_dataset(_data_config(sections["data"]))
     out = Path(args.out) if args.out else run / "dataset.txt"
     out.parent.mkdir(parents=True, exist_ok=True)
     datagen.save_dataset(ds, out)
-    echo_config(run, {"data": resolved})
     print(f"wrote {len(ds)} records to {out}")
-    return 0
 
 
-def cmd_train(args):
-    run = make_run_dir(args)
-    resolved = resolve_section("train", args, TRAIN_DEFAULTS)
+def cmd_train(args, run, sections):
+    resolved = sections["train"]
     ds = _load_dataset(args.data)
 
     from . import energy, training
@@ -592,17 +510,14 @@ def cmd_train(args):
 
         report["axis"] = (aniso.p_raw / np.linalg.norm(aniso.p_raw)).tolist()
     write_json(run / "reports" / "train_report.json", report)
-    echo_config(run, {"train": resolved})
     print(
         f"trained {report['epochs_run']} epochs, final loss {result.final_loss:.6e}, "
         f"class {report['class']}; checkpoint at {ckpt}"
     )
-    return 0
 
 
-def cmd_invert(args):
-    run = make_run_dir(args)
-    resolved = resolve_section("inverse", args, INVERSE_DEFAULTS)
+def cmd_invert(args, run, sections):
+    resolved = sections["inverse"]
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
     _check_class_metadata(model, ds, "target dataset")
@@ -616,34 +531,19 @@ def cmd_invert(args):
 
     method = resolved["method"]
     if method == "cma":
-        options = {
-            k: resolved[k]
-            for k in ("popsize", "tol_x", "tol_stagnation")
-            if resolved[k] is not None
-        }
-    elif method == "nelder-mead":
-        options = {
-            k: resolved[k]
-            for k in ("step", "tol", "reflection", "expansion", "contraction", "shrink")
-            if resolved[k] is not None
-        }
+        option_keys = ("popsize", "tol_x", "tol_stagnation")
     else:
-        raise UsageError(f"unknown method {method!r}; expected cma or nelder-mead")
-
+        option_keys = ("step", "tol", "reflection", "expansion", "contraction", "shrink")
     try:
         result = inverse.invert_design(
             model,
             ds.C,
             ds.S,
             method=method,
-            restarts=resolved["restarts"],
-            seed=resolved["seed"],
-            free_orientation=resolved["free_orientation"],
-            max_evals=resolved["max_evals"],
-            f_target=resolved["f_target"],
             trace_path=run / "logs" / "trace.csv",
-            sigma0=resolved["sigma0"],
-            options=options,
+            options={k: resolved[k] for k in option_keys if resolved[k] is not None},
+            **{k: resolved[k] for k in ("restarts", "seed", "free_orientation", "max_evals",
+                                        "f_target", "sigma0")},
         )
     except ValueError as e:
         raise UsageError(str(e))
@@ -652,17 +552,13 @@ def cmd_invert(args):
     report["method"] = method
     report["seed"] = resolved["seed"]
     write_json(run / "reports" / "inversion.json", report)
-    echo_config(run, {"inverse": resolved})
     design = ", ".join(f"{x:.6g}" for x in result.D)
     print(f"recovered design [{design}] with objective {result.objective:.6e}")
-    return 0
 
 
-def cmd_fem(args):
-    run = make_run_dir(args)
-    resolved = resolve_section("fem", args, FEM_DEFAULTS)
+def cmd_fem(args, run, sections):
     model = _load_model(args.model)
-    cfg = _fem_config(resolved, model)
+    cfg = _fem_config(sections["fem"], model)
 
     from . import fem
 
@@ -684,14 +580,11 @@ def cmd_fem(args):
         "n_elements": int(mesh.elems.shape[0]),
     }
     write_json(run / "reports" / "fem.json", report)
-    echo_config(run, {"fem": resolved})
     print(f"solved {cfg.n_steps} load steps; max Von Mises {report['max_von_mises']:.6e}")
-    return 0
 
 
-def cmd_fem_invert(args):
-    run = make_run_dir(args)
-    resolved = resolve_section("fem", args, FEM_DEFAULTS)
+def cmd_fem_invert(args, run, sections):
+    resolved = sections["fem"]
     model = _load_model(args.model)
     cfg = _fem_config(resolved, model)
 
@@ -699,12 +592,7 @@ def cmd_fem_invert(args):
 
     mesh = fem.box_mesh(cfg.lengths, cfg.divisions)
     fit = fem.invert_orientation(
-        mesh,
-        cfg,
-        model,
-        restarts=resolved["restarts"],
-        seed=resolved["seed"],
-        max_evals=resolved["max_evals"],
+        mesh, cfg, model, **{k: resolved[k] for k in ("restarts", "seed", "max_evals")}
     )
 
     for k, trace in enumerate(fit.traces):
@@ -715,7 +603,6 @@ def cmd_fem_invert(args):
                 writer.writerow([evals, f"{fval:.10e}"])
 
     write_json(run / "reports" / "orientation.json", fit.report())
-    echo_config(run, {"fem": resolved})
     if fit.insensitive:
         print(f"isotropic model: orientation has no effect; max Von Mises {fit.objective:.6e}")
     else:
@@ -724,24 +611,13 @@ def cmd_fem_invert(args):
             f"best orientation phi={fit.phi:.6g}, axis=[{axis}], "
             f"max Von Mises {fit.objective:.6e}"
         )
-    return 0
 
 
-def cmd_probe_isotropy(args):
-    run = make_run_dir(args)
+def cmd_probe_isotropy(args, run, sections):
     model = _load_model(args.model)
-
-    import numpy as np
+    d = _design_vector(args.d, model)
 
     from . import datagen, energy
-
-    if args.d is None:
-        raise UsageError("--d is required (comma-separated design vector)")
-    d = np.asarray(_floats(args.d, what="--d"), dtype=float)
-    if d.size != model.net.n_design:
-        raise UsageError(
-            f"--d has {d.size} entries but the checkpoint expects {model.net.n_design}"
-        )
 
     probe = datagen.isotropy_probe(lambda C: energy.stress(model, C, d),
                                    gamma_max=args.gamma_max, n_gamma=args.n_gamma)
@@ -753,27 +629,20 @@ def cmd_probe_isotropy(args):
     }
     write_json(run / "reports" / "isotropy.json", report)
     print(f"max deviation from isotropy: {probe.max_deviation:.6e}")
-    return 0
 
 
-def cmd_study_samples(args):
-    run = make_run_dir(args)
-    data_resolved = resolve_section(
-        "data", args, DATA_DEFAULTS, aliases={"class": "klass", "seed": "data_seed"}
-    )
-    train_resolved = resolve_section("train", args, TRAIN_DEFAULTS)
+def cmd_study_samples(args, run, sections):
     sizes = _ints(args.sizes, ",", "--sizes")
     if any(s < 1 for s in sizes):
         raise UsageError("--sizes entries must be positive")
 
     from . import datagen, training
 
-    cfg = _train_config(train_resolved)
+    cfg = _train_config(sections["train"])
     final_losses = {}
     for size in sizes:
-        dcfg = _data_config(data_resolved, n_f=size)
-        ds = datagen.build_dataset(dcfg)
-        model = _fresh_model(train_resolved, ds.D.shape[1])
+        ds = datagen.build_dataset(_data_config(sections["data"], n_f=size))
+        model = _fresh_model(sections["train"], ds.D.shape[1])
         result = training.train(model, ds, cfg)
         with open(run / "logs" / f"loss_n{size}.csv", "w", newline="") as f:
             writer = csv.writer(f)
@@ -787,19 +656,33 @@ def cmd_study_samples(args):
         run / "reports" / "study.json",
         {"sizes": sizes, "epochs": cfg.epochs, "final_losses": final_losses},
     )
-    echo_config(run, {"data": data_resolved, "train": train_resolved})
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _add_common(sp, default_run):
-    sp.add_argument("--run", default=default_run, help="run name under the runs root")
-    sp.add_argument("--runs-root", default="runs", help="directory holding all runs")
-    sp.add_argument("--config", help="INI config file; flags override its values")
-    sp.add_argument("--threads", type=int, help="cap BLAS threads (env: ANISOFORGE_THREADS)")
+def _section_flags(p, *sections, skip=(), rename=None):
+    """One flag per key of each section the command reads.
+
+    A flag stores under "<section>.<key>" and defaults to None, so an unset
+    flag leaves the config-file value alone; skip and rename take the same
+    "<section>.<key>" names.
+    """
+    for section in sections:
+        for key, opt in SECTIONS[section].items():
+            dest = f"{section}.{key}"
+            if dest in skip:
+                continue
+            flag = (rename or {}).get(dest, "--" + key.replace("_", "-"))
+            if opt.parse is _bool:
+                p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction,
+                               default=None, help=opt.help)
+            else:
+                metavar = None if opt.choices else flag[2:].replace("-", "_").upper()
+                p.add_argument(flag, dest=dest, type=opt.parse, choices=opt.choices,
+                               metavar=metavar, help=opt.help)
+    p.set_defaults(sections=sections)
 
 
 def build_parser():
@@ -809,132 +692,49 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a stress-strain dataset")
-    _add_common(p, "gen-data")
-    p.add_argument("--model", help="material: neo-hookean or aniso-hgo")
-    p.add_argument("--class", dest="klass", help="anisotropy class for aniso-hgo: trans or ortho")
-    p.add_argument("--grid", help="design grid counts, e.g. 5x5 or 3x3x3")
-    p.add_argument("--nf", type=int, help="deformation samples per design point")
-    p.add_argument("--delta", type=float, help="entrywise half-width of the F box")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--independent-f", action=argparse.BooleanOptionalAction, default=None,
-                   help="fresh deformation draws per design point")
-    p.add_argument("--sampler", choices=("lhs", "polar"))
-    p.add_argument("--stretch-lo", type=float, help="polar sampler lower stretch bound")
-    p.add_argument("--stretch-hi", type=float, help="polar sampler upper stretch bound")
-    p.add_argument("--dedupe", action=argparse.BooleanOptionalAction, default=None,
-                   help="drop samples that coincide in invariant space")
-    p.add_argument("--dedupe-tol", type=float)
-    p.add_argument("--out", help="dataset path (default <run>/dataset.txt)")
-    p.set_defaults(func=cmd_gen_data)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--run", default=name, help="run name under the runs root")
+        p.add_argument("--runs-root", default="runs", help="directory holding all runs")
+        p.add_argument("--config", help="INI config file; flags override its values")
+        p.add_argument("--threads", type=int, help="cap BLAS threads (env: ANISOFORGE_THREADS)")
+        p.set_defaults(func=func, sections=())
+        return p
 
-    p = sub.add_parser("train", help="fit a surrogate to a dataset")
-    _add_common(p, "train")
+    def checkpoint(p):
+        p.add_argument("--model", required=True, help="trained checkpoint")
+
+    p = command("gen-data", cmd_gen_data, "generate a stress-strain dataset")
+    p.add_argument("--out", help="dataset path (default <run>/dataset.txt)")
+    _section_flags(p, "data")
+
+    p = command("train", cmd_train, "fit a surrogate to a dataset")
     p.add_argument("--data", required=True, help="dataset file")
     p.add_argument("--resume", help="checkpoint to continue training from")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--eps", type=float, help="sparsity penalty weight")
-    p.add_argument("--p", type=float, help="sparsity penalty exponent")
-    p.add_argument("--warmup-frac", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log-every", type=int)
-    p.add_argument("--early-stop", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--plateau-tol", type=float)
-    p.add_argument("--plateau-window", type=int)
-    p.add_argument("--normalize-components", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--known-class", help="fix the class: iso, trans, or ortho")
-    p.add_argument("--direction", help="first preferred direction, e.g. 0,0,1")
-    p.add_argument("--direction2", help="second preferred direction")
-    p.add_argument("--mode", choices=("polyconvex", "nonpoly_linearC", "unconstrained"))
-    p.add_argument("--gamma", type=float, help="volumetric growth weight")
-    p.add_argument("--width-x", type=int)
-    p.add_argument("--width-y", type=int)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_train)
+    _section_flags(p, "train")
 
-    p = sub.add_parser("invert", help="recover design parameters from target stresses")
-    _add_common(p, "invert")
-    p.add_argument("--model", required=True, help="trained checkpoint")
+    p = command("invert", cmd_invert, "recover design parameters from target stresses")
+    checkpoint(p)
     p.add_argument("--data", required=True, help="target dataset file")
-    p.add_argument("--method", choices=("cma", "nelder-mead"))
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-evals", type=int)
-    p.add_argument("--f-target", type=float)
-    p.add_argument("--sigma0", type=float, help="CMA-ES initial step size")
-    p.add_argument("--popsize", type=int, help="CMA-ES population size")
-    p.add_argument("--tol-x", type=float, help="CMA-ES step-size stop tolerance")
-    p.add_argument("--tol-stagnation", type=int, help="CMA-ES stagnation window")
-    p.add_argument("--step", type=float, help="simplex initial edge length")
-    p.add_argument("--tol", type=float, help="simplex diameter stop tolerance")
-    p.add_argument("--reflection", type=float)
-    p.add_argument("--expansion", type=float)
-    p.add_argument("--contraction", type=float)
-    p.add_argument("--shrink", type=float)
-    p.add_argument("--free-orientation", action=argparse.BooleanOptionalAction, default=None,
-                   help="also fit the orientation (phi, axis)")
-    p.set_defaults(func=cmd_invert)
+    _section_flags(p, "inverse")
 
-    p = sub.add_parser("fem", help="solve the simply supported beam and write VTK")
-    _add_common(p, "fem")
-    p.add_argument("--model", required=True, help="trained checkpoint")
-    p.add_argument("--d", help="design vector, e.g. 2.0,3.0")
-    p.add_argument("--phi", type=float, help="orientation angle override")
-    p.add_argument("--axis", help="orientation axis override, e.g. 0,0,1")
-    p.add_argument("--lengths", help="beam dimensions, e.g. 4,1,1")
-    p.add_argument("--divisions", help="mesh divisions, e.g. 8,2,2")
-    p.add_argument("--u0", type=float, help="midspan dip magnitude")
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--tol", type=float, help="Newton residual tolerance")
-    p.add_argument("--max-iter", type=int)
-    p.set_defaults(func=cmd_fem)
+    p = command("fem", cmd_fem, "solve the simply supported beam and write VTK")
+    checkpoint(p)
+    _section_flags(p, "fem", skip={"fem.restarts", "fem.seed", "fem.max_evals"})
 
-    p = sub.add_parser("fem-invert", help="find the orientation minimizing peak Von Mises")
-    _add_common(p, "fem-invert")
-    p.add_argument("--model", required=True, help="trained checkpoint")
-    p.add_argument("--d", help="design vector, e.g. 2.0,3.0")
-    p.add_argument("--phi", type=float, help="orientation override (the search replaces it)")
-    p.add_argument("--axis", help="orientation override (the search replaces it)")
-    p.add_argument("--lengths")
-    p.add_argument("--divisions")
-    p.add_argument("--u0", type=float)
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-evals", type=int)
-    p.set_defaults(func=cmd_fem_invert)
+    p = command("fem-invert", cmd_fem_invert, "find the orientation minimizing peak Von Mises")
+    checkpoint(p)
+    _section_flags(p, "fem")
 
-    p = sub.add_parser("probe-isotropy", help="shear-sweep isotropy check of a checkpoint")
-    _add_common(p, "probe-isotropy")
-    p.add_argument("--model", required=True, help="trained checkpoint")
+    p = command("probe-isotropy", cmd_probe_isotropy, "shear-sweep isotropy check of a checkpoint")
+    checkpoint(p)
     p.add_argument("--d", help="design vector, e.g. 2.0,3.0")
     p.add_argument("--gamma-max", type=float, default=0.3)
     p.add_argument("--n-gamma", type=int, default=13)
-    p.set_defaults(func=cmd_probe_isotropy)
 
-    p = sub.add_parser("study-samples", help="train at several sample sizes, emit loss CSVs")
-    _add_common(p, "study-samples")
+    p = command("study-samples", cmd_study_samples, "train at several sample sizes, emit loss CSVs")
     p.add_argument("--sizes", default="20,50,100", help="comma-separated deformation counts")
-    p.add_argument("--model", help="material: neo-hookean or aniso-hgo")
-    p.add_argument("--class", dest="klass", help="anisotropy class for aniso-hgo")
-    p.add_argument("--grid", help="design grid counts, e.g. 3x3")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--data-seed", type=int, help="seed for the dataset draws")
-    p.add_argument("--independent-f", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--log-every", type=int)
-    p.add_argument("--known-class")
-    p.add_argument("--mode", choices=("polyconvex", "nonpoly_linearC", "unconstrained"))
-    p.add_argument("--width-x", type=int)
-    p.add_argument("--width-y", type=int)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_study_samples)
+    _section_flags(p, "data", "train", skip={"data.nf"}, rename={"data.seed": "--data-seed"})
 
     return parser
 
@@ -949,7 +749,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args) or 0
+        run = make_run_dir(args)
+        sections = {section: resolve_section(section, args) for section in args.sections}
+        args.func(args, run, sections)
+        if sections:
+            echo_config(run, sections)
+        return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -343,6 +343,9 @@ class FemConfig:
             raise ValueError("beam dimensions must be positive")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        for name in ("n_steps", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def structure(self):
         if self.phi is None:
@@ -418,6 +421,9 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
     result flagged insensitive. Raises if no restart produces a converged
     solve.
     """
+    for name, count in (("restarts", restarts), ("max_evals", max_evals)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if model.config.aniso_class == "iso":
         obj = von_mises_max(solve_static(mesh, cfg, model))
         return OrientationFit(None, None, None, None, obj, insensitive=True)

@@ -336,6 +336,8 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     bounds = np.vstack([d_bounds, _orientation_bounds()]) if fit_orientation else d_bounds
     if method not in ("cma", "nelder-mead"):
         raise ValueError(f"unknown method {method!r}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
 
     def objective(x):
         structure = None

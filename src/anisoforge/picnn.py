@@ -112,6 +112,9 @@ def init_params(n_inv, n_design, width_x=40, width_y=30, depth=3, constrained=Tr
     U(0.3, 1.0)/sqrt(fan_in) so realized weights start small and positive.
     Biases start at zero.
     """
+    for name, size in (("width_x", width_x), ("width_y", width_y), ("depth", depth)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     w = {}
     for h in range(depth):

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValueError("penalty exponent must lie in (0, 1]")
         if not (0.0 <= self.warmup_frac <= 1.0):
             raise ValueError("warmup_frac must lie in [0, 1]")
+        for name in ("log_every", "plateau_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass

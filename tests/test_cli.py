@@ -538,3 +538,113 @@ def test_every_key_echoes_and_flags_override(root, iso_dataset, iso_ckpt, tmp_pa
             for key, value in FILE_VALUES[section].items()
         }
         assert dict(echoed[section]) == expected
+
+
+def test_study_samples_takes_every_section_flag(root):
+    flags = {"data": set(FLAG_VALUES["data"]) - {"nf"}, "train": set(FLAG_VALUES["train"])}
+    rc = run_cli("study-samples", "--sizes", "3", *_flag_argv("study-samples", flags),
+                 "--runs-root", root, "--run", "study-flags")
+    assert rc == 0
+    echoed = configparser.ConfigParser()
+    echoed.read(root / "study-flags" / "config" / "resolved.ini")
+    assert dict(echoed["data"]) == {**FLAG_VALUES["data"], "nf": "260"}
+    assert dict(echoed["train"]) == FLAG_VALUES["train"]
+
+
+def test_config_value_outside_choices_exits_2(root, iso_ckpt, iso_dataset, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[inverse]\nmethod = simplex\n")
+    rc = run_cli("invert", "--model", iso_ckpt, "--data", iso_dataset, "--config", cfg,
+                 "--runs-root", root, "--run", "cfg-choice")
+    assert rc == 2
+    assert "inverse.method" in capsys.readouterr().err
+
+
+def test_table_defaults_match_library_defaults():
+    """A default lives in the CLI table and in the library; the two must agree."""
+    import dataclasses
+    import inspect
+
+    from anisoforge import fem, inverse, training
+
+    def fields(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    def params(*fns):
+        """Signature defaults; an earlier function wins a shared name."""
+        out = {}
+        for fn in reversed(fns):
+            out.update((k, p.default) for k, p in inspect.signature(fn).parameters.items())
+        return out
+
+    data, fem_cfg = fields(dg.DataConfig), fields(fem.FemConfig)
+    library = {
+        "data": {**data, "nf": data["n_f"], "stretch_lo": data["stretch_bounds"][0],
+                 "stretch_hi": data["stretch_bounds"][1]},
+        "train": {**params(energy.new_model), **fields(training.TrainConfig)},
+        "inverse": params(inverse.invert_design, inverse.cma_es, inverse.nelder_mead),
+        "fem": {**params(fem.invert_orientation), **fem_cfg, "d": fem_cfg["D"],
+                "axis": fem_cfg["p_raw"]},
+    }
+    # keys without a library default of their own: the material and class
+    # flags map onto DataConfig.aniso_class, the known class and directions
+    # choose the model factory, and invert_design replaces a missing simplex
+    # step with a quarter of the search box (not nelder_mead's 0.1)
+    exempt = {"data": {"model", "class"}, "train": {"known_class", "direction", "direction2"},
+              "inverse": {"step"}, "fem": set()}
+    for section, opts in cli.SECTIONS.items():
+        for key, opt in opts.items():
+            if key in exempt[section]:
+                continue
+            default = opt.default
+            if (section, key) == ("fem", "lengths"):
+                default = tuple(float(x) for x in default.split(","))
+            if (section, key) == ("fem", "divisions"):
+                default = tuple(int(x) for x in default.split(","))
+            assert default == library[section][key], (section, key)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["fem", "--n-steps", "0"], "n_steps"),
+    (["fem", "--max-iter", "0"], "max_iter"),
+    (["fem-invert", "--max-evals", "0"], "max_evals"),
+    (["train", "--log-every", "0"], "log_every"),
+    (["train", "--early-stop", "--plateau-window", "0"], "plateau_window"),
+    (["train", "--width-x", "0"], "width_x"),
+    (["train", "--width-y", "0"], "width_y"),
+    (["train", "--depth", "0"], "depth"),
+    (["invert", "--max-evals", "0"], "max_evals"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_out_of_range_count_exits_2(root, iso_dataset, iso_ckpt, capsys, argv, option):
+    beam = ["--model", iso_ckpt, "--d", "3.0,3.0", "--divisions", "2,1,1", "--u0", "0.02"]
+    inputs = {
+        "fem": beam,
+        "fem-invert": beam,
+        "train": ["--data", iso_dataset, "--epochs", "3"],
+        "invert": ["--model", iso_ckpt, "--data", iso_dataset],
+    }[argv[0]]
+    rc = run_cli(*argv, *inputs, "--runs-root", root, "--run", "range")
+    assert rc == 2
+    assert option in capsys.readouterr().err
+
+
+def test_fem_invert_iso_zero_restarts_exits_2(root, iso_ckpt, capsys):
+    rc = run_cli("fem-invert", "--model", iso_ckpt, "--d", "3.0,3.0", "--divisions", "2,1,1",
+                 "--restarts", "0", "--runs-root", root, "--run", "fi-iso-r0")
+    assert rc == 2
+    assert "restarts" in capsys.readouterr().err
+
+
+def test_parser_builds_without_numpy():
+    """--threads must cap the BLAS pools before numpy loads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; from anisoforge import cli; cli.build_parser(); print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "'numpy'" not in out.stdout
