@@ -701,9 +701,6 @@ def build_parser():
         p.set_defaults(func=func, sections=())
         return p
 
-    def checkpoint(p):
-        p.add_argument("--model", required=True, help="trained checkpoint")
-
     p = command("gen-data", cmd_gen_data, "generate a stress-strain dataset")
     p.add_argument("--out", help="dataset path (default <run>/dataset.txt)")
     _section_flags(p, "data")
@@ -714,20 +711,20 @@ def build_parser():
     _section_flags(p, "train")
 
     p = command("invert", cmd_invert, "recover design parameters from target stresses")
-    checkpoint(p)
+    p.add_argument("--model", required=True, help="trained checkpoint")
     p.add_argument("--data", required=True, help="target dataset file")
     _section_flags(p, "inverse")
 
     p = command("fem", cmd_fem, "solve the simply supported beam and write VTK")
-    checkpoint(p)
+    p.add_argument("--model", required=True, help="trained checkpoint")
     _section_flags(p, "fem", skip={"fem.restarts", "fem.seed", "fem.max_evals"})
 
     p = command("fem-invert", cmd_fem_invert, "find the orientation minimizing peak Von Mises")
-    checkpoint(p)
+    p.add_argument("--model", required=True, help="trained checkpoint")
     _section_flags(p, "fem")
 
     p = command("probe-isotropy", cmd_probe_isotropy, "shear-sweep isotropy check of a checkpoint")
-    checkpoint(p)
+    p.add_argument("--model", required=True, help="trained checkpoint")
     p.add_argument("--d", help="design vector, e.g. 2.0,3.0")
     p.add_argument("--gamma-max", type=float, default=0.3)
     p.add_argument("--n-gamma", type=int, default=13)
