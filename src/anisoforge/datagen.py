@@ -105,34 +105,6 @@ class Hgo:
         return S
 
 
-@dataclass
-class CoupledNeoHookean:
-    """Coupled compressible neo-Hookean form used for microstructure phases.
-
-    psi = mu/2 (I1 - ln det C - 3) + lam/4 (det C - ln det C - 1)
-    """
-
-    mu: float
-    lam: float
-
-    @staticmethod
-    def from_poisson(mu, nu=0.44):
-        """Construct from a Poisson ratio via lam = 2 mu nu / (1 - 2 nu)."""
-        return CoupledNeoHookean(mu, 2.0 * mu * nu / (1.0 - 2.0 * nu))
-
-    def psi(self, C):
-        C = np.asarray(C, dtype=float)
-        I1 = np.trace(C, axis1=-2, axis2=-1)
-        det = tc.det_sym(C)
-        return 0.5 * self.mu * (I1 - np.log(det) - 3.0) + 0.25 * self.lam * (det - np.log(det) - 1.0)
-
-    def stress(self, C):
-        C = np.asarray(C, dtype=float)
-        Cinv = tc.inv_sym(C)
-        det = tc.det_sym(C)
-        return self.mu * (tc.EYE3 - Cinv) + 0.5 * self.lam * (det - 1.0)[..., None, None] * Cinv
-
-
 def material_for_class(aniso_class, params):
     """Reference material generating data for one anisotropy class.
 
@@ -391,6 +363,9 @@ def isotropy_probe(stress_fn, gamma_max=0.3, n_gamma=13):
     curves across the shear planes (zero for an isotropic material, up to
     roundoff).
     """
+    if n_gamma < 2 or not gamma_max > 0.0:
+        raise ValueError(f"the shear sweep needs n_gamma >= 2 and gamma_max > 0, "
+                         f"got {n_gamma} and {gamma_max}")
     gammas = np.linspace(0.0, gamma_max, n_gamma)
     mags = np.zeros((len(SHEAR_PLANES), n_gamma))
     for i, (_, a, b) in enumerate(SHEAR_PLANES):
@@ -401,5 +376,5 @@ def isotropy_probe(stress_fn, gamma_max=0.3, n_gamma=13):
         mags[i] = np.sqrt(np.einsum("bij,bij->b", S, S))
     spread = mags.max(axis=0) - mags.min(axis=0)
     scale = np.maximum(np.abs(mags).mean(axis=0), 1e-300)
-    dev = float(np.max(spread[1:] / scale[1:])) if n_gamma > 1 else 0.0
+    dev = float(np.max(spread[1:] / scale[1:]))
     return IsotropyReport(gammas, [lbl for lbl, _, _ in SHEAR_PLANES], mags, dev)

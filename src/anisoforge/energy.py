@@ -194,14 +194,29 @@ def _resolve_structure(model, structure=None):
     if n == 4:
         return None, None, 1.0, 1.0
     if structure is not None:
-        N1 = np.asarray(structure[0], dtype=float)
-        N2 = np.asarray(structure[1], dtype=float) if n == 8 else None
+        N1 = _check_structure(structure[0])
+        N2 = _check_structure(structure[1]) if n == 8 else None
     else:
         N1, N2, _ = model.aniso.structure()
         if n == 6:
             N2 = None
     a1, a2 = (1.0, 1.0) if model.aniso is None else model.aniso.alphas()
     return N1, N2, a1, a2
+
+
+def _check_structure(N):
+    """N as a float array; raises unless it is a finite, symmetric (3, 3) tensor of unit trace.
+
+    The reference invariants assume tr N = 1, so any other override would
+    leave a stress at C = I.
+    """
+    N = np.asarray(N, dtype=float)
+    if N.shape == (3, 3):
+        (a, b, c), (d, e, f), (g, h, i) = N.tolist()
+        # each entry enters one of these terms once, so a NaN or inf entry fails its bound
+        if all(abs(x) <= 1e-10 for x in (b - d, c - g, f - h, a + e + i - 1.0)):
+            return N
+    raise ValueError("a structure tensor must be a finite, symmetric (3, 3) array with unit trace")
 
 
 def _check_design(model, D):

@@ -21,7 +21,7 @@ the fiber layout minimizing the peak Von Mises stress of that beam.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -428,15 +428,9 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
         obj = von_mises_max(solve_static(mesh, cfg, model))
         return OrientationFit(None, None, None, None, obj, insensitive=True)
 
-    base = FemConfig(cfg.lengths, cfg.divisions, cfg.u0, cfg.n_steps, cfg.tol,
-                     cfg.max_iter, cfg.D, None, None)
-
     def objective(x):
         try:
-            structure = tc.structure_tensors(x[0], x[1:4])
-            state = solve_displacement(mesh, model, base.D, *beam_bc(mesh, base.u0),
-                                       n_steps=base.n_steps, tol=base.tol,
-                                       max_iter=base.max_iter, structure=structure)
+            state = solve_static(mesh, replace(cfg, phi=x[0], p_raw=x[1:4]), model)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return np.inf
         return von_mises_max(state)

@@ -76,7 +76,12 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     obj = _repair_and_penalize(f, bounds)
     rng = np.random.default_rng(seed)
 
+    sigma = float(sigma0)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma0 must be finite and non-negative, got {sigma0}")
     lam = popsize if popsize is not None else 4 + int(3 * np.log(n))
+    if lam < 2:
+        raise ValueError(f"popsize must be at least 2, got {lam}")
     mu = lam // 2
     w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     w /= w.sum()
@@ -90,7 +95,6 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     chi_n = np.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2))
 
     mean = x0.copy()
-    sigma = float(sigma0)
     C = np.eye(n)
     p_sigma = np.zeros(n)
     p_c = np.zeros(n)

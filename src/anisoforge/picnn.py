@@ -330,22 +330,6 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
     return dtheta, dXs[0]
 
 
-@dataclass
-class EvalRecord:
-    """Bundled pointwise evaluation of the network."""
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-
-def evaluate_record(params, x, y):
-    """Value, input gradient and input Hessian at a single (x, y) point."""
-    psi, g, cache = value_and_grad(params, x, y, return_cache=True)
-    H = hess_inputs(params, x, y, cache=cache)
-    return EvalRecord(float(psi[0]), g[0], H[0])
-
-
 def flatten(params):
     """Concatenate all weights into one vector (sorted key order); returns (vec, unflatten)."""
     keys = sorted(params.weights.keys())

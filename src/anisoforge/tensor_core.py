@@ -8,7 +8,7 @@ Conventions used throughout the package:
   shear entries.
 * Fourth-order tensors with minor symmetries are stored as 6x6 matrices of
   raw tensor components in the same ordering (no shear scaling baked in).
-  ``apply_tangent`` supplies the contraction weights.
+  ``VOIGT_WEIGHTS`` holds the contraction weights.
 * The right Cauchy-Green tensor is ``C = F^T F``; ``J = sqrt(det C)``.
 * Structure tensors are ``N_i = n_i (x) n_i`` for unit preferred directions
   ``n_i``; the two directions are columns 1 and 2 of a rotation built from
@@ -41,14 +41,6 @@ EYE3 = np.eye(3)
 # training runs: an orthonormal in-plane pair.
 DEFAULT_N1 = np.array([1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0), 0.0])
 DEFAULT_N2 = np.array([np.sqrt(2.0 / 3.0), -1.0 / np.sqrt(3.0), 0.0])
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(flag):
-    """Enable cross-checks of the componentwise kernels against numpy.linalg."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(flag)
 
 
 def sym_to_6(T):
@@ -90,10 +82,6 @@ def cofactor_sym(C):
     out[..., 0, 1] = out[..., 1, 0] = c02 * c12 - c01 * c22
     out[..., 0, 2] = out[..., 2, 0] = c01 * c12 - c02 * c11
     out[..., 1, 2] = out[..., 2, 1] = c01 * c02 - c00 * c12
-    if _DEBUG_CHECKS:
-        ref = np.linalg.det(C)[..., None, None] * np.linalg.inv(C).swapaxes(-1, -2)
-        if not np.allclose(out, ref, rtol=1e-9, atol=1e-12):
-            raise AssertionError("cofactor kernel disagrees with det*inv^T cross-check")
     return out
 
 
@@ -414,32 +402,3 @@ def tensor4_to_66(T):
 def tensor4_from_66(M):
     """Expand a 6x6 component matrix back to a full minor-symmetric tensor."""
     return np.asarray(M)[..., _V9[:, :, None, None], _V9[None, None, :, :]]
-
-
-def apply_tangent(M66, U6):
-    """Double contraction of a 6x6 component tangent with a packed symmetric tensor."""
-    return np.einsum("...ab,...b->...a", M66, VOIGT_WEIGHTS * np.asarray(U6))
-
-
-def recover_direction(N, gap_tol=1e-3):
-    """Unit direction n with n (x) n closest to an (approximately rank-1) N.
-
-    Solved by eigen-decomposition: the dominant eigenvector of sym(N). Raises
-    when the two largest eigenvalues are too close to identify a single
-    direction (relative gap below gap_tol). The sign is fixed so the first
-    component of non-negligible magnitude is positive.
-    """
-    N = np.asarray(N, dtype=float)
-    N = 0.5 * (N + N.T)
-    w, Q = np.linalg.eigh(N)
-    lam1, lam2 = w[2], w[1]
-    scale = max(abs(lam1), 1e-300)
-    if (lam1 - lam2) / scale < gap_tol:
-        raise ValueError("ambiguous direction: two near-equal dominant eigenvalues")
-    n = Q[:, 2]
-    for comp in n:
-        if abs(comp) > 1e-8:
-            if comp < 0.0:
-                n = -n
-            break
-    return n

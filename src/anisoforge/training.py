@@ -328,39 +328,3 @@ def extract_directions(model, active=ACTIVE_THRESHOLD):
     if model.aniso.alpha_bar is None:
         return found[: max(0, (model.config.n_active - 4) // 2)]
     return [d for d, a in zip(found, model.aniso.alphas()) if a > active]
-
-
-@dataclass
-class EvalReport:
-    rmse: float  # root mean square over all stress components
-    rel_frobenius: float  # mean residual-to-data Frobenius ratio
-    max_abs: float
-    n_samples: int
-
-
-def evaluate(model, dataset):
-    """Pointwise stress accuracy of the model on a dataset."""
-    S_hat = energy.stress(model, dataset.C, dataset.D)
-    res = S_hat - dataset.S
-    norms = np.sqrt(np.einsum("bij,bij->b", res, res))
-    ref = np.sqrt(np.einsum("bij,bij->b", dataset.S, dataset.S))
-    rel = norms / np.maximum(ref, 1e-12)
-    return EvalReport(
-        rmse=float(np.sqrt(np.mean(res**2))),
-        rel_frobenius=float(np.mean(rel)),
-        max_abs=float(np.max(np.abs(res))),
-        n_samples=len(dataset),
-    )
-
-
-def uniaxial_sweep(model, D, n=41, f11_range=(0.8, 1.2)):
-    """Stress response along a uniaxial stretch path F = diag(f11, 1, 1).
-
-    Returns (stretches, S) with S of shape (n, 3, 3); useful as a quick
-    smoke curve for reports.
-    """
-    lams = np.linspace(f11_range[0], f11_range[1], n)
-    C = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    C[:, 0, 0] = lams**2
-    S = energy.stress(model, C, D)
-    return lams, S

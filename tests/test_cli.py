@@ -614,6 +614,10 @@ def test_table_defaults_match_library_defaults():
     (["train", "--width-y", "0"], "width_y"),
     (["train", "--depth", "0"], "depth"),
     (["invert", "--max-evals", "0"], "max_evals"),
+    (["invert", "--sigma0", "-1"], "sigma0"),
+    (["invert", "--popsize", "1"], "popsize"),
+    (["probe-isotropy", "--n-gamma", "0"], "n_gamma"),
+    (["probe-isotropy", "--gamma-max", "0"], "gamma_max"),
 ], ids=lambda v: v[0] if isinstance(v, list) else v)
 def test_out_of_range_count_exits_2(root, iso_dataset, iso_ckpt, capsys, argv, option):
     beam = ["--model", iso_ckpt, "--d", "3.0,3.0", "--divisions", "2,1,1", "--u0", "0.02"]
@@ -622,6 +626,7 @@ def test_out_of_range_count_exits_2(root, iso_dataset, iso_ckpt, capsys, argv, o
         "fem-invert": beam,
         "train": ["--data", iso_dataset, "--epochs", "3"],
         "invert": ["--model", iso_ckpt, "--data", iso_dataset],
+        "probe-isotropy": ["--model", iso_ckpt, "--d", "3.0,3.0"],
     }[argv[0]]
     rc = run_cli(*argv, *inputs, "--runs-root", root, "--run", "range")
     assert rc == 2

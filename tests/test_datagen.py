@@ -17,7 +17,6 @@ MATERIALS = [
     dg.NeoHookean(2.0, 3.5),
     dg.Hgo(1.5, 4.0, 0.0),
     dg.Hgo(1.5, 4.0, 3.0),
-    dg.CoupledNeoHookean.from_poisson(2.5),
 ]
 
 
@@ -59,11 +58,6 @@ def test_hgo_second_family_toggle():
     assert np.allclose(on.stress(C) - off.stress(C), expected, atol=1e-12)
     # the two fiber families sit along distinct directions
     assert abs(np.dot(tc.DEFAULT_N1, tc.DEFAULT_N2)) < 1e-12
-
-
-def test_coupled_lame_parameter():
-    mat = dg.CoupledNeoHookean.from_poisson(3.0, nu=0.44)
-    assert np.isclose(mat.lam, 2.0 * 3.0 * 0.44 / (1.0 - 0.88))
 
 
 def test_material_for_class():

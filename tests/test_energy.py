@@ -212,6 +212,50 @@ def test_invalid_inputs():
         energy.EnergyConfig(mode="banana")
 
 
+def _bad_structures():
+    N1, N2 = default_structure_tensors()
+    skew = np.zeros((3, 3))
+    skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+    inf = N1.copy()
+    inf[2, 2] = np.inf
+    return {
+        "scaled": (2.0 * N1, 2.0 * N2),
+        "second-scaled": (N1, 2.0 * N2),
+        "asymmetric": (N1 + skew, N2),
+        "non-finite": (inf, N2),
+        "shape": (N1[:2, :2], N2),
+    }
+
+
+@pytest.mark.parametrize("mode", ("polyconvex", "nonpoly_linearC"))
+@pytest.mark.parametrize("case", sorted(_bad_structures()))
+def test_bad_structure_override_raises(mode, case):
+    m = tiny_model(mode, "ortho")
+    structure = _bad_structures()[case]
+    D = np.array([2.0, 3.0])
+    for call in (energy.psi, energy.stress, energy.tangent):
+        with pytest.raises(ValueError, match="structure tensor"):
+            call(m, np.eye(3), D, structure=structure)
+    with pytest.raises(ValueError, match="structure tensor"):
+        energy.normalization_coefficients(m, D, structure=structure)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    phi=st.floats(0.0, np.pi),
+    p=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda p: np.linalg.norm(p) > 0.1),
+    D=st.lists(st.floats(0.5, 6.0), min_size=2, max_size=2),
+    mode=st.sampled_from(MODES),
+    aniso_class=st.sampled_from(("transiso", "ortho")),
+)
+def test_reference_state_stress_free_under_structure_override(phi, p, D, mode, aniso_class):
+    """psi(I, D) = 0 and S(I, D) = 0 for any valid orientation override."""
+    m = tiny_model(mode, aniso_class)
+    N1, N2, _ = tc.structure_tensors(phi, np.array(p))
+    assert abs(energy.psi(m, np.eye(3), D, structure=(N1, N2))) < 1e-10
+    assert np.max(np.abs(energy.stress(m, np.eye(3), D, structure=(N1, N2)))) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # fused loss gradient against finite differences
 

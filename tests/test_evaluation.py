@@ -185,6 +185,31 @@ def test_call_counts_invert_design_objective(monkeypatch):
     assert per_eval == [{"cofactors": 0, "forward": 1, "unique": 0}] * 2
 
 
+def test_call_counts_invert_orientation_objective(monkeypatch):
+    m = model_for("polyconvex", "transiso")
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig((2.0, 1.0, 1.0), (2, 1, 1), u0=0.01, n_steps=1, D=np.array([2.0, 3.0]))
+    calls = []
+    for owner, name in ((tc, "structure_tensors"), (fem, "solve_displacement")):
+        def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    per_eval = []
+
+    def one_eval_optimizer(f, x0, **kwargs):
+        calls.clear()
+        fx = f(x0)
+        per_eval.append(list(calls))
+        return inverse.OptimizeResult(x0, fx, 1, 1, "max_evals", [(1, fx)])
+
+    monkeypatch.setattr(inverse, "nelder_mead", one_eval_optimizer)
+    fit = fem.invert_orientation(mesh, cfg, m, restarts=2)
+    assert np.isfinite(fit.objective)
+    assert per_eval == [["structure_tensors", "solve_displacement"]] * 2
+
+
 def test_call_counts_loss_and_param_gradients():
     m = model_for("polyconvex", "ortho")
     rng = np.random.default_rng(27)

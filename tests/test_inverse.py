@@ -65,6 +65,16 @@ def test_cma_all_nan_raises():
         inverse.cma_es(lambda x: np.nan, np.zeros(2), 0.5, max_evals=100, seed=0)
 
 
+def test_cma_rejects_bad_arguments():
+    for sigma0 in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma0"):
+            inverse.cma_es(sphere, np.zeros(2), sigma0, max_evals=100)
+    with pytest.raises(ValueError, match="popsize"):
+        inverse.cma_es(sphere, np.zeros(2), 0.5, max_evals=100, popsize=1)
+    # a zero-width design box gives sigma0 = 0, which stays allowed
+    assert inverse.cma_es(sphere, np.ones(2), 0.0, max_evals=100).fun == sphere(np.ones(2))
+
+
 def test_cma_history_monotone():
     res = inverse.cma_es(sphere, np.ones(3), 0.3, max_evals=900, seed=7)
     fb = [f for _, f in res.history]

@@ -207,20 +207,6 @@ def test_backprop_with_cache_matches_fresh():
     assert np.array_equal(dX1, dX2)
 
 
-def test_evaluate_record():
-    p = small_net()
-    rng = np.random.default_rng(7)
-    X, Y = rand_inputs(rng, 1)
-    rec = picnn.evaluate_record(p, X[0], Y[0])
-    assert np.isscalar(rec.value) or rec.value.shape == ()
-    assert rec.grad.shape == (8,)
-    assert rec.hess.shape == (8, 8)
-    psi, g = picnn.value_and_grad(p, X, Y)
-    assert rec.value == psi[0]
-    assert np.array_equal(rec.grad, g[0])
-    assert np.array_equal(rec.hess, picnn.hess_inputs(p, X, Y)[0])
-
-
 def test_flatten_round_trip():
     p = small_net()
     vec, unflatten = picnn.flatten(p)

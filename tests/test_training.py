@@ -354,27 +354,3 @@ def test_one_adam_step_matches_fd_gradients():
 
     for k in analytic.net.weights:
         assert np.allclose(analytic.net.weights[k], fd.net.weights[k], atol=1e-6)
-
-
-def test_evaluate_perfect_on_self_generated_data():
-    model = tiny_model("ortho", seed=7)
-    rng = np.random.default_rng(8)
-    F = dg.sample_F_lhs(12, seed=9)
-    C = np.einsum("bki,bkj->bij", F, F)
-    D = np.repeat(rng.uniform(1.0, 5.0, (3, 3)), 4, axis=0)
-    S = energy.stress(model, C, D)
-    ds = dg.Dataset(D, C, S, ["c1", "c4", "c5"], {})
-    report = training.evaluate(model, ds)
-    assert report.rmse < 1e-12
-    assert report.rel_frobenius < 1e-9
-    assert report.n_samples == 12
-
-
-def test_uniaxial_sweep_zero_at_identity():
-    model = tiny_model("iso", seed=10)
-    lams, S = training.uniaxial_sweep(model, [2.0, 3.0], n=41)
-    assert lams.shape == (41,) and S.shape == (41, 3, 3)
-    mid = np.argmin(np.abs(lams - 1.0))
-    assert np.allclose(S[mid], 0.0, atol=1e-8)
-    # stress grows with stretch away from the reference state
-    assert np.linalg.norm(S[-1]) > np.linalg.norm(S[mid])
