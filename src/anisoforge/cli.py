@@ -395,6 +395,7 @@ def _fresh_model(resolved, n_design):
     """Discovery or known-class model per the resolved [train] section."""
     import numpy as np
 
+    from . import tensor_core as tc
     from . import training
 
     net_keys = ("mode", "gamma", "seed", "width_x", "width_y", "depth")
@@ -406,8 +407,7 @@ def _fresh_model(resolved, n_design):
         aniso_class = _class_name(known, "--known-class")
         n1 = n2 = None
         if resolved["direction"] is not None:
-            n1 = np.asarray(_floats(resolved["direction"], n=3, what="--direction"), dtype=float)
-            n1 = n1 / np.linalg.norm(n1)
+            n1 = tc.unit_vector(_floats(resolved["direction"], n=3, what="--direction"))
             if resolved["direction2"] is not None:
                 n2 = np.asarray(
                     _floats(resolved["direction2"], n=3, what="--direction2"), dtype=float
@@ -415,8 +415,7 @@ def _fresh_model(resolved, n_design):
             else:
                 # any unit vector orthogonal to n1 completes the frame
                 seed_axis = np.eye(3)[int(np.argmin(np.abs(n1)))]
-                n2 = seed_axis - (seed_axis @ n1) * n1
-                n2 = n2 / np.linalg.norm(n2)
+                n2 = tc.unit_vector(seed_axis - (seed_axis @ n1) * n1)
         return training.model_for_known_class(n_design, aniso_class, n1=n1, n2=n2, **net_kwargs)
     except ValueError as e:
         raise UsageError(str(e))

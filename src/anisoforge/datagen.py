@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
+from . import energy
 from . import tensor_core as tc
 
 DATASET_MAGIC = "#ANISOFORGE-DATASET v1 "
@@ -189,15 +190,11 @@ def dedupe_invariant_space(C, aniso_class, tol=1e-8, directions=None):
     infinity norm. Order-preserving, first occurrence wins.
     """
     C = np.asarray(C, dtype=float)
-    n_active = {"iso": 4, "transiso": 6, "ortho": 8}[aniso_class]
-    if directions is None:
-        n1, n2 = tc.DEFAULT_N1, tc.DEFAULT_N2
-    else:
-        n1, n2 = directions
-    N1, N2 = np.outer(n1, n1), np.outer(n2, n2)
-    I = tc.invariants(C, N1, N2, 1.0, 1.0, n_active)
+    n1, n2 = (tc.DEFAULT_N1, tc.DEFAULT_N2) if directions is None else directions
+    Ns = [np.outer(n, n) for n in (n1, n2)][: energy.N_DIRECTIONS[aniso_class]]
+    I = tc.invariants(C, Ns)
     kept = []
-    kept_rows = np.empty((0, n_active))
+    kept_rows = np.empty((0, I.shape[1]))
     for i in range(I.shape[0]):
         if kept and np.min(np.max(np.abs(kept_rows - I[i]), axis=1)) < tol:
             continue
@@ -318,7 +315,9 @@ def load_dataset(path):
             raise ValueError(f"{path}: not a dataset file (bad magic line)")
         meta = json.loads(header[len(DATASET_MAGIC):])
         rows = np.loadtxt(f, ndmin=2)
-    names = meta.pop("param_names")
+    names = meta.pop("param_names", None) if isinstance(meta, dict) else None
+    if not isinstance(names, list):
+        raise ValueError(f"{path}: the header must be a JSON object with a param_names list")
     m = len(names)
     if rows.shape[1] != m + 12:
         raise ValueError(f"{path}: expected {m + 12} columns, found {rows.shape[1]}")

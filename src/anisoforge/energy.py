@@ -35,6 +35,10 @@ Stress and tangent follow from the invariant chain rule:
     S  = 2 sum_i c_i B_i (+ S_sn in linear-C form),   B_i = dI_i/dC
     CC = 4 [ sum_ij (d2Psi/dI_i dI_j) B_i (x) B_j + sum_i c_i d2I_i/dC dC ]
 
+The anisotropic invariants are linear in N, so an activity a_i acts as the
+tensor a_i N_i (see tensor_core). The kernels see the unit tensors Ns; only
+this module applies a_i: the column scale (1, 1, 1, 1, a1, a1, a2, a2) and o.
+
 All of these are views of one evaluation, which takes two inputs:
 
 * a C-workspace (tc.CWorkspace: C, cof, det, J, C^-1), built once per set
@@ -64,8 +68,9 @@ from . import picnn
 from . import tensor_core as tc
 
 MODES = ("polyconvex", "nonpoly_linearC", "unconstrained")
-CLASSES = ("iso", "transiso", "ortho")
-N_ACTIVE = {"iso": 4, "transiso": 6, "ortho": 8}
+# number of active structure tensors per anisotropy class
+N_DIRECTIONS = {"iso": 0, "transiso": 1, "ortho": 2}
+CLASSES = tuple(N_DIRECTIONS)
 
 CHECKPOINT_FORMAT = "anisoforge-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -87,7 +92,7 @@ class EnergyConfig:
 
     @property
     def n_active(self):
-        return N_ACTIVE[self.aniso_class]
+        return 4 + 2 * N_DIRECTIONS[self.aniso_class]
 
 
 @dataclass
@@ -189,19 +194,13 @@ def new_model(
 
 
 def _resolve_structure(model, structure=None):
-    """(N1, N2, a1, a2) honoring an optional structure-tensor override."""
-    n = model.config.n_active
-    if n == 4:
-        return None, None, 1.0, 1.0
-    if structure is not None:
-        N1 = _check_structure(structure[0])
-        N2 = _check_structure(structure[1]) if n == 8 else None
-    else:
-        N1, N2, _ = model.aniso.structure()
-        if n == 6:
-            N2 = None
-    a1, a2 = (1.0, 1.0) if model.aniso is None else model.aniso.alphas()
-    return N1, N2, a1, a2
+    """(Ns, alphas): the active unit structure tensors (or the checked override) and activities."""
+    k = N_DIRECTIONS[model.config.aniso_class]
+    if k == 0:
+        return (), ()
+    Ns = model.aniso.structure() if structure is None else [
+        _check_structure(structure[i]) for i in range(k)]
+    return tuple(Ns[:k]), model.aniso.alphas()[:k]
 
 
 def _check_structure(N):
@@ -267,15 +266,10 @@ class NormCoefficients:
     T_ref: np.ndarray | None  # linear-C form tensor, (G, 3, 3)
 
 
-def _directions(N1, N2, a1, a2, n):
-    """(first invariant column, N, activity) of each active structure tensor."""
-    return [(4, N1, a1), (6, N2, a2)][: (n - 4) // 2]
-
-
-def _coefficient_corrections(g_ref, N1, N2, a1, a2, n):
+def _coefficient_corrections(g_ref, Ns, alphas):
     c_sn = np.zeros_like(g_ref)
     o = g_ref[:, 0] + 2.0 * g_ref[:, 1] + 0.5 * g_ref[:, 2] - g_ref[:, 3]
-    for k, N, a in _directions(N1, N2, a1, a2, n):
+    for k, N, a in zip((4, 6), Ns, alphas):
         c_sn[:, k] = g_ref[:, k + 1]
         c_sn[:, k + 1] = g_ref[:, k]
         o = o + (g_ref[:, k] + g_ref[:, k + 1]) * a * np.trace(N)
@@ -286,8 +280,8 @@ def _coefficient_corrections(g_ref, N1, N2, a1, a2, n):
 class _Evaluation:
     """The energy's forward pass over a C-workspace and designs (uD, group).
 
-    The invariants and bases are taken with unit activities and scaled by
-    (1, 1, 1, 1, a1, a1, a2, a2) where they meet the network. The sample
+    The invariants and bases are taken of the unit structure tensors Ns and
+    scaled by (1, 1, 1, 1, a1, a1, a2, a2) where they meet the network. The sample
     rows and one reference row per design go through a single network call
     whose design path runs once per design; psi, S, CC and the training
     loss are read off this one evaluation.
@@ -297,15 +291,11 @@ class _Evaluation:
         cfg = model.config
         n = cfg.n_active
         self.model, self.cw, self.uD, self.group = model, cw, uD, group
-        N1, N2, a1, a2 = _resolve_structure(model, structure)
-        self.N1, self.N2, self.a1, self.a2 = N1, N2, a1, a2
-        self.directions = _directions(N1, N2, a1, a2, n)
-        self.Iref = tc.reference_invariants(a1, a2, n)
-        self.scale = np.ones(n)
-        self.scale[4:6] = a1
-        self.scale[6:] = a2
-        self.Iu = tc.invariants(cw, N1, N2, 1.0, 1.0, n)
-        self.Bu = tc.invariant_bases(cw, N1, N2, 1.0, 1.0, n)
+        self.Ns, self.alphas = Ns, alphas = _resolve_structure(model, structure)
+        self.scale = np.repeat((1.0, 1.0) + alphas, 2)
+        self.Iref = tc.reference_invariants(Ns) * self.scale
+        self.Iu = tc.invariants(cw, Ns)
+        self.Bu = tc.invariant_bases(cw, Ns)
         B, G = self.Iu.shape[0], uD.shape[0]
         self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
         self.rows = np.concatenate([group, np.arange(G)])
@@ -314,12 +304,12 @@ class _Evaluation:
         self.psi_net, self.g = psi[:B], g[:B]
         g_ref = g[B:]
         if cfg.mode == "nonpoly_linearC":
-            self.Bref = tc.reference_bases(N1, N2, a1, a2, n)
+            self.Bref = tc.reference_bases(Ns) * self.scale[:, None, None]
             T_ref = (g_ref @ self.Bref.reshape(n, 9)).reshape(G, 3, 3)
             self.nc = NormCoefficients(psi[B:], g_ref, None, T_ref)
         else:
             self.nc = NormCoefficients(psi[B:], g_ref,
-                                       _coefficient_corrections(g_ref, N1, N2, a1, a2, n), None)
+                                       _coefficient_corrections(g_ref, Ns, alphas), None)
 
     def coefficients(self, with_sn=True):
         """dPsi/dI per sample row: network, growth and (with_sn) coefficient-form terms."""
@@ -355,8 +345,7 @@ class _Evaluation:
         H[:, 2, 2] += growth_curvature(self.cw.J, self.model.config.gamma)
         B6 = tc.sym_to_6(self.Bu) * self.scale[:, None]
         M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
-        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale,
-                             self.N1, self.N2, 1.0, 1.0, n)
+        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale, self.Ns)
         M *= 4.0
         return M
 
@@ -507,7 +496,7 @@ def loss_and_param_gradients(model, ws, want_stress=False):
         u3 = U[:, 2]
         seed_ref = np.zeros((G, n))
         seed_ref[:, :4] = np.array([-2.0, -4.0, -1.0, 2.0]) * u3[:, None]
-        for k, N, a in ev.directions:
+        for k, N, a in zip((4, 6), ev.Ns, ev.alphas):
             t = a * np.trace(N)
             seed_ref[:, k] = U[:, k + 1] - 2.0 * t * u3
             seed_ref[:, k + 1] = U[:, k] - 2.0 * t * u3
@@ -515,17 +504,15 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
                               cache=ev.cache, group=ev.rows)
 
-    train_alpha = aniso is not None and aniso.trainable_alpha
-    train_orient = aniso is not None and aniso.trainable_orientation
     dalpha_bar = dphi = dp_raw = None
-    if n > 4 and (train_alpha or train_orient):
+    if ev.Ns and (aniso.trainable_alpha or aniso.trainable_orientation):
         dI, dIref = dX[:B], dX[B:]
         Cinv = ws.Cinv
         dSV = np.einsum("bij,bij->b", dS, Cinv)
         VdSV = (Cinv @ dS @ Cinv).reshape(B, 9)
         das = np.zeros(2)
         dNs = [np.zeros((3, 3)), np.zeros((3, 3))]
-        for j, (k, N, a) in enumerate(ev.directions):
+        for j, (k, N, a) in enumerate(zip((4, 6), ev.Ns, ev.alphas)):
             kk = [k, k + 1]
             # invariant inputs a tr(C N), a tr(cof(C) N); both reference entries equal a
             da = np.sum(dI[:, kk] * ev.Iu[:, kk]) + np.sum(dIref[:, kk])
@@ -549,10 +536,10 @@ def loss_and_param_gradients(model, ws, want_stress=False):
                 da += wo * trN
                 dN += wo * a * tc.EYE3
             das[j], dNs[j] = da, dN
-        if train_alpha:
-            alphas = np.array([ev.a1, ev.a2])
+        if aniso.trainable_alpha:
+            alphas = np.array(aniso.alphas())
             dalpha_bar = das * alphas * (1.0 - alphas)
-        if train_orient:
+        if aniso.trainable_orientation:
             dphi, dp_raw = _orientation_adjoints(aniso, aniso.structure()[2], *dNs)
 
     return LossGradients(loss, dnet, dalpha_bar, dphi, dp_raw, S_hat if want_stress else None)

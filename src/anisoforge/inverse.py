@@ -21,19 +21,15 @@ from . import tensor_core as tc
 
 
 def _as_bounds(bounds, n):
-    b = np.asarray(bounds, dtype=float)
+    """bounds as (n, 2) rows [lo, hi]; None is the unbounded box (-inf, inf)."""
+    b = np.tile([-np.inf, np.inf], (n, 1)) if bounds is None else np.asarray(bounds, dtype=float)
     if b.shape != (n, 2) or np.any(b[:, 0] > b[:, 1]):
         raise ValueError(f"bounds must be ({n}, 2) with lo <= hi")
     return b
 
 
 def _repair_and_penalize(f, bounds):
-    """Wrap f: evaluate at the clamped point plus a scaled repair penalty."""
-    if bounds is None:
-        def wrapped(x):
-            v = f(x)
-            return float(v) if np.isfinite(v) else np.inf
-        return wrapped
+    """Wrap f: evaluate at the clamped point plus a scaled repair penalty (0 on unbounded axes)."""
     lo, hi = bounds[:, 0], bounds[:, 1]
     width = np.maximum(hi - lo, 1e-12)
 
@@ -71,8 +67,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if bounds is not None:
-        bounds = _as_bounds(bounds, n)
+    bounds = _as_bounds(bounds, n)
     obj = _repair_and_penalize(f, bounds)
     rng = np.random.default_rng(seed)
 
@@ -82,6 +77,8 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     lam = popsize if popsize is not None else 4 + int(3 * np.log(n))
     if lam < 2:
         raise ValueError(f"popsize must be at least 2, got {lam}")
+    if max_evals < lam:
+        raise ValueError(f"max_evals {max_evals} is below the population size {lam}: no generation")
     mu = lam // 2
     w = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     w /= w.sum()
@@ -118,7 +115,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
         order = np.argsort(fs)
         if fs[order[0]] < best_f:
             best_f = fs[order[0]]
-            best_x = np.clip(X[order[0]], bounds[:, 0], bounds[:, 1]) if bounds is not None else X[order[0]].copy()
+            best_x = np.clip(X[order[0]], bounds[:, 0], bounds[:, 1])
             last_improvement = it
         history.append((n_evals, best_f))
 
@@ -170,8 +167,7 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if bounds is not None:
-        bounds = _as_bounds(bounds, n)
+    bounds = _as_bounds(bounds, n)
     obj = _repair_and_penalize(f, bounds)
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
 
@@ -219,9 +215,7 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
                 n_evals += n
 
     order = np.argsort(fs)
-    best = simplex[order[0]]
-    if bounds is not None:
-        best = np.clip(best, bounds[:, 0], bounds[:, 1])
+    best = np.clip(simplex[order[0]], bounds[:, 0], bounds[:, 1])
     return OptimizeResult(best, fs[order[0]], n_evals, len(history), stop, history)
 
 

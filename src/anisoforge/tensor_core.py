@@ -14,12 +14,17 @@ Conventions used throughout the package:
   ``n_i``; the two directions are columns 1 and 2 of a rotation built from
   axis-angle parameters ``(phi, p)``.
 
-The invariant set is, with activity factors ``a1, a2`` in (0, 1]:
+The invariant set is:
 
-    I1 = tr C                 I5 = a1 tr(C N1)      I7 = a2 tr(C N2)
-    I2 = tr(cof C)            I6 = a1 tr(cof(C) N1) I8 = a2 tr(cof(C) N2)
+    I1 = tr C                 I5 = tr(C N1)         I7 = tr(C N2)
+    I2 = tr(cof C)            I6 = tr(cof(C) N1)    I8 = tr(cof(C) N2)
     I3 = J
     I4 = -2 J
+
+The kernels take the active structure tensors as a sequence ``Ns`` of 0
+(iso), 1 (transiso) or 2 (ortho) entries and return 4 + 2 len(Ns)
+invariants. Every anisotropic term is linear in N, so an activity factor
+a in (0, 1] is folded into the tensor: a N gives (a tr(C N), a tr(cof(C) N)).
 
 All derivative formulas below are with respect to C and are exercised by
 finite-difference checks in the test suite.
@@ -163,6 +168,14 @@ def cross_matrix(p):
     )
 
 
+def unit_vector(v):
+    """v / |v|; a zero or non-finite vector is rejected."""
+    norm = np.linalg.norm(v)
+    if not np.isfinite(norm) or norm < 1e-12:
+        raise ValueError("a direction or rotation axis must be a nonzero finite vector")
+    return np.asarray(v, dtype=float) / norm
+
+
 def rotation_from_axis_angle(phi, p):
     """Rodrigues rotation about unit axis p by angle phi.
 
@@ -170,11 +183,7 @@ def rotation_from_axis_angle(phi, p):
     quarter turn about e3 maps e1 -> e2 and e2 -> -e1. The axis is
     normalized defensively; a zero axis is rejected.
     """
-    p = np.asarray(p, dtype=float)
-    norm = np.linalg.norm(p)
-    if not np.isfinite(norm) or norm < 1e-12:
-        raise ValueError("rotation axis must be a nonzero finite vector")
-    P = cross_matrix(p / norm)
+    P = cross_matrix(unit_vector(p))
     return EYE3 + np.sin(phi) * P + (1.0 - np.cos(phi)) * (P @ P)
 
 
@@ -209,11 +218,8 @@ def axis_angle_from_rotation(R):
 
 
 def rotation_from_direction_pair(n1, n2):
-    """Rotation whose first two columns are the orthonormal pair (n1, n2)."""
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    n1 = n1 / np.linalg.norm(n1)
-    n2 = n2 / np.linalg.norm(n2)
+    """Rotation whose first two columns are the orthonormal pair (n1, n2), normalized here."""
+    n1, n2 = unit_vector(n1), unit_vector(n2)
     if abs(float(n1 @ n2)) > 1e-8:
         raise ValueError("preferred directions must be orthogonal")
     return np.column_stack([n1, n2, np.cross(n1, n2)])
@@ -231,54 +237,45 @@ def structure_tensors(phi, p_raw):
     return np.outer(r1, r1), np.outer(r2, r2), R
 
 
-def invariants(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
-    """Invariant vector of C for a given anisotropy configuration.
+def invariants(C, Ns=()):
+    """Invariant vector of C for the active structure tensors Ns.
 
     Parameters
     ----------
     C : (..., 3, 3) symmetric positive definite, or its CWorkspace.
-    N1, N2 : (3, 3) structure tensors; required when n_active > 4.
-    alpha1, alpha2 : activity factors scaling the anisotropic entries.
-    n_active : 4 (isotropic), 6 (transversely isotropic) or 8 (orthotropic).
+    Ns : 0 (isotropic), 1 (transversely isotropic) or 2 (orthotropic)
+        (3, 3) structure tensors, activity factors folded in.
 
     Returns
     -------
-    (..., n_active) array (I1, I2, I3, I4[, I5, I6[, I7, I8]]).
+    (..., 4 + 2 len(Ns)) array (I1, I2, I3, I4[, I5, I6[, I7, I8]]).
     """
     w = c_workspace(C)
     C, cof, J = w.C, w.cof, w.J
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     I2 = cof[..., 0, 0] + cof[..., 1, 1] + cof[..., 2, 2]
     cols = [I1, I2, J, -2.0 * J]
-    if n_active >= 6:
-        cols.append(alpha1 * np.einsum("...ij,ij->...", C, N1))
-        cols.append(alpha1 * np.einsum("...ij,ij->...", cof, N1))
-    if n_active == 8:
-        cols.append(alpha2 * np.einsum("...ij,ij->...", C, N2))
-        cols.append(alpha2 * np.einsum("...ij,ij->...", cof, N2))
+    for N in Ns:
+        cols.append(np.einsum("...ij,ij->...", C, N))
+        cols.append(np.einsum("...ij,ij->...", cof, N))
     return np.stack(cols, axis=-1)
 
 
-def reference_invariants(alpha1=1.0, alpha2=1.0, n_active=8):
-    """Invariant vector evaluated at C = I (structure tensors have unit trace)."""
-    base = [3.0, 3.0, 1.0, -2.0]
-    if n_active >= 6:
-        base += [alpha1, alpha1]
-    if n_active == 8:
-        base += [alpha2, alpha2]
-    return np.array(base)
+def reference_invariants(Ns=()):
+    """Invariants at C = I of unit-trace Ns: exactly (1, 1) per tensor, activity not applied."""
+    return np.array([3.0, 3.0, 1.0, -2.0] + [1.0, 1.0] * len(Ns))
 
 
-def invariant_bases(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
-    """First derivatives B_i = dI_i/dC as an (..., n_active, 3, 3) stack.
+def invariant_bases(C, Ns=()):
+    """First derivatives B_i = dI_i/dC as an (..., 4 + 2 len(Ns), 3, 3) stack.
 
         B1 = I
         B2 = tr(C) I - C
         B3 = (J/2) C^-1
         B4 = -J C^-1
-        B5 = a1 N1
-        B6 = a1 det(C) [tr(C^-1 N1) C^-1 - C^-1 N1 C^-1]
-        B7, B8 : as B5, B6 with (a2, N2)
+        B5 = N1
+        B6 = det(C) [tr(C^-1 N1) C^-1 - C^-1 N1 C^-1]
+        B7, B8 : as B5, B6 with N2
 
     The anisotropic entries are symmetric by construction and symmetrized
     once more to shed roundoff asymmetry.
@@ -288,52 +285,46 @@ def invariant_bases(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
     shp = C.shape[:-2]
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     eye = np.broadcast_to(EYE3, shp + (3, 3))
-    out = np.empty(shp + (n_active, 3, 3))
+    out = np.empty(shp + (4 + 2 * len(Ns), 3, 3))
     out[..., 0, :, :] = eye
     out[..., 1, :, :] = I1[..., None, None] * eye - C
     out[..., 2, :, :] = 0.5 * J[..., None, None] * Cinv
     out[..., 3, :, :] = -J[..., None, None] * Cinv
-    if n_active >= 6:
-        out[..., 4, :, :] = alpha1 * np.broadcast_to(N1, shp + (3, 3))
-        out[..., 5, :, :] = _aniso_cof_basis(Cinv, det, N1, alpha1)
-    if n_active == 8:
-        out[..., 6, :, :] = alpha2 * np.broadcast_to(N2, shp + (3, 3))
-        out[..., 7, :, :] = _aniso_cof_basis(Cinv, det, N2, alpha2)
+    for k, N in enumerate(Ns):
+        out[..., 4 + 2 * k, :, :] = N
+        out[..., 5 + 2 * k, :, :] = _aniso_cof_basis(Cinv, det, N)
     return out
 
 
-def _aniso_cof_basis(Cinv, det, N, alpha):
+def _aniso_cof_basis(Cinv, det, N):
     VN = Cinv @ N
     n = np.trace(VN, axis1=-2, axis2=-1)
     B = det[..., None, None] * (n[..., None, None] * Cinv - VN @ Cinv)
-    return alpha * 0.5 * (B + B.swapaxes(-1, -2))
+    return 0.5 * (B + B.swapaxes(-1, -2))
 
 
-def reference_bases(N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
-    """B_i at C = I: {I, 2I, I/2, -I, a1 N1, a1 (tr(N1) I - N1), a2 N2, a2 (tr(N2) I - N2)}."""
-    out = np.empty((n_active, 3, 3))
+def reference_bases(Ns=()):
+    """B_i at C = I: {I, 2I, I/2, -I, N1, tr(N1) I - N1, N2, tr(N2) I - N2}."""
+    out = np.empty((4 + 2 * len(Ns), 3, 3))
     out[0] = EYE3
     out[1] = 2.0 * EYE3
     out[2] = 0.5 * EYE3
     out[3] = -EYE3
-    if n_active >= 6:
-        out[4] = alpha1 * N1
-        out[5] = alpha1 * (np.trace(N1) * EYE3 - N1)
-    if n_active == 8:
-        out[6] = alpha2 * N2
-        out[7] = alpha2 * (np.trace(N2) * EYE3 - N2)
+    for k, N in enumerate(Ns):
+        out[4 + 2 * k] = N
+        out[5 + 2 * k] = np.trace(N) * EYE3 - N
     return out
 
 
-def invariant_second_derivatives(C, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
-    """Second derivatives d^2 I_i / dC dC as an (..., n_active, 3, 3, 3, 3) stack.
+def invariant_second_derivatives(C, Ns=()):
+    """Second derivatives d^2 I_i / dC dC as an (..., 4 + 2 len(Ns), 3, 3, 3, 3) stack.
 
     Each block is curvature_66 with a unit weight on that invariant,
     expanded from 6x6 component form, so the formulas live only there.
     The I1, I5 and I7 blocks vanish (their bases are constant in C).
     """
     C = np.asarray(C, dtype=float)
-    M = curvature_66(C[..., None, :, :], np.eye(n_active), N1, N2, alpha1, alpha2, n_active)
+    M = curvature_66(C[..., None, :, :], np.eye(4 + 2 * len(Ns)), Ns)
     return tensor4_from_66(M)
 
 
@@ -356,19 +347,19 @@ def _sym66(A, B):
 _D2_I2 = _outer66(EYE3, EYE3) - _sym66(EYE3, EYE3)
 
 
-def curvature_66(C, weights, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=8):
+def curvature_66(C, weights, Ns=()):
     """Weighted curvature sum_i w_i d^2 I_i / dC dC in 6x6 component form.
 
-    weights (..., n_active) broadcasts against the batch shape of C. With
-    V = C^-1, M_a = V N_a V, n_a = tr(V N_a) and sym4 as in _sym66:
+    weights (..., 4 + 2 len(Ns)) broadcasts against the batch shape of C.
+    With V = C^-1, M_a = V N_a V, n_a = tr(V N_a) and sym4 as in _sym66:
 
         d2I2      = I (x) I - sym4(I, I)
         d2I3      = (J/4) [V (x) V - 2 sym4(V, V)],   d2I4 = -2 d2I3
-        d2I(6|8)  = a det(C) [n V (x) V - V (x) M - M (x) V
-                              - n sym4(V, V) + sym4(V, M) + sym4(M, V)]
+        d2I(6|8)  = det(C) [n V (x) V - V (x) M - M (x) V
+                            - n sym4(V, V) + sym4(V, M) + sym4(M, V)]
 
     Every block is linear in the outer and sym4 products of V with itself
-    and with the weighted sum P = sum_a w_a a det(C) M_a, so the sum takes
+    and with the weighted sum P = sum_a w_a det(C) M_a, so the sum takes
     the same six products whatever the number of invariants.
     """
     cw = c_workspace(C)
@@ -377,19 +368,14 @@ def curvature_66(C, weights, N1=None, N2=None, alpha1=1.0, alpha2=1.0, n_active=
     kJ = (0.25 * w[..., 2] - 0.5 * w[..., 3]) * cw.J
     s = np.zeros_like(kJ)
     P = np.zeros(kJ.shape + (3, 3))
-    blocks = []
-    if n_active >= 6:
-        blocks.append((5, N1, alpha1))
-    if n_active == 8:
-        blocks.append((7, N2, alpha2))
-    for col, N, alpha in blocks:
+    for k, N in enumerate(Ns):
         VN = V @ N
-        wa = alpha * w[..., col] * det
+        wa = w[..., 5 + 2 * k] * det
         s = s + wa * np.trace(VN, axis1=-2, axis2=-1)
         P = P + wa[..., None, None] * (VN @ V)
     out = w[..., 1, None, None] * _D2_I2
     out = out + (kJ + s)[..., None, None] * _outer66(V, V) - (2.0 * kJ + s)[..., None, None] * _sym66(V, V)
-    if blocks:
+    if len(Ns):
         out = out - _outer66(V, P) - _outer66(P, V) + _sym66(V, P) + _sym66(P, V)
     return out
 

@@ -326,5 +326,5 @@ def extract_directions(model, active=ACTIVE_THRESHOLD):
     R = model.aniso.structure()[2]
     found = [("n1", R[:, 0].copy()), ("n2", R[:, 1].copy())]
     if model.aniso.alpha_bar is None:
-        return found[: max(0, (model.config.n_active - 4) // 2)]
+        return found[: energy.N_DIRECTIONS[model.config.aniso_class]]
     return [d for d, a in zip(found, model.aniso.alphas()) if a > active]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,27 @@ def test_train_missing_dataset_exits_4(root, capsys):
     rc = run_cli("train", "--data", "nowhere.txt", "--runs-root", root, "--run", "io")
     assert rc == 4
     assert "cannot load dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ['{"class": "iso"}', '["c1", "c2"]'],
+                         ids=["no-param-names", "list"])
+def test_train_malformed_dataset_header_exits_4(root, iso_dataset, tmp_path, capsys, header):
+    body = iso_dataset.read_text().split("\n", 1)[1]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(dg.DATASET_MAGIC + header + "\n" + body)
+    rc = run_cli("train", "--data", bad, "--runs-root", root, "--run", "bad-header")
+    assert rc == 4
+    assert "param_names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", ["0,0,0", "nan,0,1"])
+def test_train_degenerate_direction_exits_2(root, trans_dataset, capsys, direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("train", "--data", trans_dataset, "--runs-root", root, "--run", "bad-dir",
+                     "--known-class", "trans", "--direction", direction, "--epochs", "1")
+    assert rc == 2
+    assert "nonzero finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +636,7 @@ def test_table_defaults_match_library_defaults():
     (["train", "--width-y", "0"], "width_y"),
     (["train", "--depth", "0"], "depth"),
     (["invert", "--max-evals", "0"], "max_evals"),
+    pytest.param(["invert", "--max-evals", "3"], "max_evals", id="invert-max_evals-below-popsize"),
     (["invert", "--sigma0", "-1"], "sigma0"),
     (["invert", "--popsize", "1"], "popsize"),
     (["probe-isotropy", "--n-gamma", "0"], "n_gamma"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anisoforge import datagen as dg
 from anisoforge import tensor_core as tc
@@ -234,6 +236,28 @@ def test_dataset_roundtrip_exact(tmp_path):
     assert np.array_equal(back.S, ds.S)
     assert back.param_names == ds.param_names
     assert back.meta["class"] == "transiso"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dataset_round_trip_property(tmp_path_factory, data):
+    """save_dataset -> load_dataset returns every float bit for bit."""
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    D = data.draw(hnp.arrays(float, (n, m), elements=finite))
+    S = tc.sym_from_6(data.draw(hnp.arrays(float, (n, 6), elements=finite)))
+    # diagonally dominant, hence positive definite
+    diag = data.draw(hnp.arrays(float, (n, 3), elements=st.floats(1.0, 2.0)))
+    off = data.draw(hnp.arrays(float, (n, 3), elements=st.floats(-0.3, 0.3)))
+    C = tc.sym_from_6(np.hstack([diag, off]))
+    ds = dg.Dataset(D, C, S, [f"p{i}" for i in range(m)], {"class": "iso"})
+    path = tmp_path_factory.mktemp("roundtrip") / "set.txt"
+    dg.save_dataset(ds, path)
+    back = dg.load_dataset(path)
+    for got, want in ((back.D, D), (back.C, C), (back.S, S)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert back.param_names == ds.param_names
+    assert back.meta == {"class": "iso"}
 
 
 def test_load_rejects_foreign_file(tmp_path):

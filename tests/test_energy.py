@@ -256,6 +256,33 @@ def test_reference_state_stress_free_under_structure_override(phi, p, D, mode, a
     assert np.max(np.abs(energy.stress(m, np.eye(3), D, structure=(N1, N2)))) < 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    F=st.lists(st.floats(-0.25, 0.25), min_size=9, max_size=9),
+    angle=st.floats(0.0, np.pi),
+    axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda p: np.linalg.norm(p) > 0.1),
+    D=st.lists(st.floats(1.0, 5.0), min_size=2, max_size=2),
+    mode=st.sampled_from(MODES),
+    aniso_class=st.sampled_from(CLASSES),
+)
+def test_objectivity_under_rotated_structure(F, angle, axis, D, mode, aniso_class):
+    """Rotating C and the structure override by Q keeps psi and maps S to Q^T S Q."""
+    F = np.eye(3) + np.reshape(F, (3, 3))
+    C = F.T @ F
+    Q = tc.rotation_from_axis_angle(angle, axis)
+    m = tiny_model(mode, aniso_class)
+    structure = rotated = None
+    if m.aniso is not None:
+        N1, N2, _ = m.aniso.structure()
+        structure, rotated = (N1, N2), (Q.T @ N1 @ Q, Q.T @ N2 @ Q)
+    psi = energy.psi(m, C, D, structure=structure)
+    S = energy.stress(m, C, D, structure=structure)
+    psi_rot = energy.psi(m, Q.T @ C @ Q, D, structure=rotated)
+    S_rot = energy.stress(m, Q.T @ C @ Q, D, structure=rotated)
+    assert abs(psi_rot - psi) <= 1e-10 * (1.0 + abs(psi))
+    assert np.max(np.abs(S_rot - Q.T @ S @ Q)) <= 1e-10 * (1.0 + np.max(np.abs(S)))
+
+
 # ---------------------------------------------------------------------------
 # fused loss gradient against finite differences
 

@@ -119,8 +119,8 @@ def test_workspace_input_matches_array_input():
     cw = tc.c_workspace(C)
     assert np.array_equal(energy.stress(m, cw, d), energy.stress(m, C, d))
     assert np.array_equal(energy.psi(m, cw, d), energy.psi(m, C, d))
-    assert np.array_equal(tc.invariants(cw, *m.aniso.structure()[:2]),
-                          tc.invariants(C, *m.aniso.structure()[:2]))
+    assert np.array_equal(tc.invariants(cw, m.aniso.structure()[:2]),
+                          tc.invariants(C, m.aniso.structure()[:2]))
 
 
 def test_assemble_strain_displacement_is_the_public_formula():

@@ -71,6 +71,9 @@ def test_cma_rejects_bad_arguments():
             inverse.cma_es(sphere, np.zeros(2), sigma0, max_evals=100)
     with pytest.raises(ValueError, match="popsize"):
         inverse.cma_es(sphere, np.zeros(2), 0.5, max_evals=100, popsize=1)
+    # n = 2 gives the default popsize 6: no generation would run
+    with pytest.raises(ValueError, match="max_evals"):
+        inverse.cma_es(sphere, np.zeros(2), 0.5, max_evals=5)
     # a zero-width design box gives sigma0 = 0, which stays allowed
     assert inverse.cma_es(sphere, np.ones(2), 0.0, max_evals=100).fun == sphere(np.ones(2))
 

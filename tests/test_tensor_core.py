@@ -74,10 +74,10 @@ def test_cofactor_finite_for_singular_input():
 
 def test_invariants_identity_and_spheres():
     N1, N2 = default_structure_tensors()
-    I = tc.invariants(np.eye(3), N1, N2, 1.0, 1.0)
+    I = tc.invariants(np.eye(3), (N1, N2))
     assert np.allclose(I, [3, 3, 1, -2, 1, 1, 1, 1], atol=1e-14)
     # C = diag(4,1,1): iso entries
-    I = tc.invariants(np.diag([4.0, 1.0, 1.0]), N1, N2)
+    I = tc.invariants(np.diag([4.0, 1.0, 1.0]), (N1, N2))
     assert np.allclose(I[:4], [6.0, 9.0, 2.0, -4.0], atol=1e-12)
 
 
@@ -85,17 +85,20 @@ def test_invariants_alpha_scaling_and_masking():
     rng = np.random.default_rng(4)
     C = rand_spd(rng)
     N1, N2 = default_structure_tensors()
-    I_full = tc.invariants(C, N1, N2, 0.3, 0.7)
-    I_unit = tc.invariants(C, N1, N2, 1.0, 1.0)
+    I_full = tc.invariants(C, (0.3 * N1, 0.7 * N2))
+    I_unit = tc.invariants(C, (N1, N2))
     assert np.allclose(I_full[4:6], 0.3 * I_unit[4:6])
     assert np.allclose(I_full[6:8], 0.7 * I_unit[6:8])
-    assert tc.invariants(C, n_active=4).shape == (4,)
-    assert tc.invariants(C, N1, n_active=6).shape == (6,)
+    assert tc.invariants(C).shape == (4,)
+    assert tc.invariants(C, (N1,)).shape == (6,)
 
 
 def test_reference_invariants():
-    assert np.allclose(tc.reference_invariants(0.25, 0.5), [3, 3, 1, -2, 0.25, 0.25, 0.5, 0.5])
-    assert np.allclose(tc.reference_invariants(n_active=4), [3, 3, 1, -2])
+    N1, N2 = default_structure_tensors()
+    scale = np.repeat([1.0, 1.0, 0.25, 0.5], 2)
+    assert np.allclose(tc.reference_invariants((N1, N2)) * scale,
+                       [3, 3, 1, -2, 0.25, 0.25, 0.5, 0.5])
+    assert np.allclose(tc.reference_invariants(), [3, 3, 1, -2])
 
 
 def test_invariants_objectivity_kernel_identity():
@@ -104,14 +107,14 @@ def test_invariants_objectivity_kernel_identity():
     for _ in range(100):
         C = rand_spd(rng)
         Q = rand_rotation(rng)
-        I0 = tc.invariants(C, N1, N2, 0.8, 0.6)
-        I1 = tc.invariants(Q.T @ C @ Q, Q.T @ N1 @ Q, Q.T @ N2 @ Q, 0.8, 0.6)
+        I0 = tc.invariants(C, (0.8 * N1, 0.6 * N2))
+        I1 = tc.invariants(Q.T @ C @ Q, (0.8 * Q.T @ N1 @ Q, 0.6 * Q.T @ N2 @ Q))
         assert np.max(np.abs(I0 - I1)) < 1e-10
 
 
 def test_reference_bases_identity_values():
     N1, N2 = default_structure_tensors()
-    B = tc.reference_bases(N1, N2, 1.0, 1.0)
+    B = tc.reference_bases((N1, N2))
     assert np.allclose(B[0], np.eye(3))
     assert np.allclose(B[1], 2 * np.eye(3))
     assert np.allclose(B[2], 0.5 * np.eye(3))
@@ -121,13 +124,13 @@ def test_reference_bases_identity_values():
     assert np.allclose(B[6], N2)
     assert np.allclose(B[7], np.eye(3) - N2)
     # consistency with the general-C code path at C = I
-    Bg = tc.invariant_bases(np.eye(3), N1, N2, 1.0, 1.0)
+    Bg = tc.invariant_bases(np.eye(3), (N1, N2))
     assert np.max(np.abs(B - Bg)) < 1e-14
 
 
 def test_basis_example_trC_I_minus_C():
     C = np.diag([4.0, 1.0, 1.0])
-    B = tc.invariant_bases(C, n_active=4)
+    B = tc.invariant_bases(C)
     assert np.allclose(B[1], np.diag([2.0, 5.0, 5.0]), atol=1e-13)
 
 
@@ -137,9 +140,9 @@ def test_bases_match_fd_of_invariants():
     a1, a2 = 0.9, 0.4
     for _ in range(40):
         C = rand_spd(rng)
-        B = tc.invariant_bases(C, N1, N2, a1, a2)
+        B = tc.invariant_bases(C, (a1 * N1, a2 * N2))
         for i in range(8):
-            g = fd_grad_wrt_C(lambda X: tc.invariants(X, N1, N2, a1, a2)[i], C)
+            g = fd_grad_wrt_C(lambda X: tc.invariants(X, (a1 * N1, a2 * N2))[i], C)
             assert rel_err(B[i], g) < 1e-6, f"basis {i} FD mismatch"
 
 
@@ -149,12 +152,12 @@ def test_second_derivatives_match_fd_of_bases():
     a1, a2 = 0.7, 0.55
     for _ in range(10):
         C = rand_spd(rng)
-        D2 = tc.invariant_second_derivatives(C, N1, N2, a1, a2)
+        D2 = tc.invariant_second_derivatives(C, (a1 * N1, a2 * N2))
         for i in (1, 2, 3, 5, 7):
             for k in range(3):
                 for l in range(3):
                     g = fd_grad_wrt_C(
-                        lambda X: tc.invariant_bases(X, N1, N2, a1, a2)[i, k, l], C
+                        lambda X: tc.invariant_bases(X, (a1 * N1, a2 * N2))[i, k, l], C
                     )
                     assert np.allclose(D2[i, k, l], g, rtol=1e-5, atol=1e-8)
         for i in (0, 4, 6):
@@ -165,7 +168,7 @@ def test_second_derivatives_major_symmetry():
     rng = np.random.default_rng(8)
     N1, N2 = default_structure_tensors()
     C = rand_spd(rng)
-    D2 = tc.invariant_second_derivatives(C, N1, N2)
+    D2 = tc.invariant_second_derivatives(C, (N1, N2))
     for i in range(8):
         assert np.max(np.abs(D2[i] - D2[i].transpose(2, 3, 0, 1))) < 1e-10
         assert np.max(np.abs(D2[i] - D2[i].transpose(1, 0, 2, 3))) < 1e-10
@@ -186,7 +189,7 @@ def test_tensor4_66_round_trip_and_apply():
     rng = np.random.default_rng(10)
     N1, N2 = default_structure_tensors()
     C = rand_spd(rng)
-    T = tc.invariant_second_derivatives(C, N1, N2)[2]  # d2 J / dC2
+    T = tc.invariant_second_derivatives(C, (N1, N2))[2]  # d2 J / dC2
     M = tc.tensor4_to_66(T)
     assert np.max(np.abs(tc.tensor4_from_66(M) - T)) < 1e-14
 
@@ -210,3 +213,8 @@ def test_rotation_from_direction_pair():
     assert np.isclose(np.linalg.det(R), 1.0)
     with pytest.raises(ValueError, match="orthogonal"):
         tc.rotation_from_direction_pair([1, 0, 0], [1, 1, 0])
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            tc.rotation_from_direction_pair(bad, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="nonzero finite"):
+            tc.rotation_from_direction_pair([0.0, 1.0, 0.0], bad)
