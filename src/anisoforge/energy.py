@@ -47,6 +47,11 @@ All of these are views of one evaluation, which takes two inputs:
 * the designs as (uD, group): the unique design rows and the sample -> row
   index. A single design row is shared by every sample without np.unique.
 
+stress_per_design evaluates G candidate designs over the same B metrics as
+one such evaluation: the C-workspace tiled G times, uD the G designs and
+group = repeat(arange(G), B). A structure override may then hold one
+tensor per design, which the kernels take per sample row.
+
 The sample rows I(C) and one reference row Iref per design go through a
 single network call whose design path runs once per design. psi, stress,
 tangent (assembled directly in 6x6 form from the packed bases and
@@ -193,23 +198,31 @@ def new_model(
     return Model(net, cfg, aniso, None if d_bounds is None else np.asarray(d_bounds, float))
 
 
-def _resolve_structure(model, structure=None):
-    """(Ns, alphas): the active unit structure tensors (or the checked override) and activities."""
+def _resolve_structure(model, structure=None, n_designs=None):
+    """(Ns, alphas): the active unit structure tensors (or the checked override) and activities.
+
+    With n_designs, an override may hold an (n_designs, 3, 3) stack per tensor.
+    """
     k = N_DIRECTIONS[model.config.aniso_class]
     if k == 0:
         return (), ()
     Ns = model.aniso.structure() if structure is None else [
-        _check_structure(structure[i]) for i in range(k)]
+        _check_structure(structure[i], n_designs) for i in range(k)]
     return tuple(Ns[:k]), model.aniso.alphas()[:k]
 
 
-def _check_structure(N):
+def _check_structure(N, n_designs=None):
     """N as a float array; raises unless it is a finite, symmetric (3, 3) tensor of unit trace.
 
-    The reference invariants assume tr N = 1, so any other override would
-    leave a stress at C = I.
+    With n_designs, N may also be a stack of n_designs such tensors, each
+    checked. The reference invariants assume tr N = 1, so any other override
+    would leave a stress at C = I.
     """
     N = np.asarray(N, dtype=float)
+    if n_designs is not None and N.shape == (n_designs, 3, 3):
+        for Ng in N:
+            _check_structure(Ng)
+        return N
     if N.shape == (3, 3):
         (a, b, c), (d, e, f), (g, h, i) = N.tolist()
         # each entry enters one of these terms once, so a NaN or inf entry fails its bound
@@ -218,18 +231,24 @@ def _check_structure(N):
     raise ValueError("a structure tensor must be a finite, symmetric (3, 3) array with unit trace")
 
 
+def extrapolating(model, D):
+    """Per design row of D (G, m): True where it lies outside the model's declared ranges."""
+    if model.d_bounds is None:
+        return np.zeros(len(D), dtype=bool)
+    lo, hi = model.d_bounds[:, 0], model.d_bounds[:, 1]
+    return np.any((D < lo - 1e-12) | (D > hi + 1e-12), axis=1)
+
+
 def _check_design(model, D):
     D = np.atleast_2d(np.asarray(D, dtype=float))
     if not np.all(np.isfinite(D)):
         raise ValueError("design parameters contain non-finite entries")
-    if model.d_bounds is not None:
-        lo, hi = model.d_bounds[:, 0], model.d_bounds[:, 1]
-        if np.any(D < lo - 1e-12) or np.any(D > hi + 1e-12):
-            warnings.warn(
-                "design parameters outside the declared training ranges; "
-                "the surrogate is extrapolating",
-                stacklevel=4,
-            )
+    if np.any(extrapolating(model, D)):
+        warnings.warn(
+            "design parameters outside the declared training ranges; "
+            "the surrogate is extrapolating",
+            stacklevel=4,
+        )
     return D
 
 
@@ -272,7 +291,7 @@ def _coefficient_corrections(g_ref, Ns, alphas):
     for k, N, a in zip((4, 6), Ns, alphas):
         c_sn[:, k] = g_ref[:, k + 1]
         c_sn[:, k + 1] = g_ref[:, k]
-        o = o + (g_ref[:, k] + g_ref[:, k + 1]) * a * np.trace(N)
+        o = o + (g_ref[:, k] + g_ref[:, k + 1]) * a * np.trace(N, axis1=-2, axis2=-1)
     c_sn[:, 2] = -2.0 * o
     return c_sn
 
@@ -285,17 +304,22 @@ class _Evaluation:
     rows and one reference row per design go through a single network call
     whose design path runs once per design; psi, S, CC and the training
     loss are read off this one evaluation.
+
+    With per_design, a structure override may hold one tensor per design
+    (a (G, 3, 3) stack); the sample rows then take the tensor of their design.
     """
 
-    def __init__(self, model, cw, uD, group, structure=None):
+    def __init__(self, model, cw, uD, group, structure=None, per_design=False):
         cfg = model.config
         n = cfg.n_active
         self.model, self.cw, self.uD, self.group = model, cw, uD, group
-        self.Ns, self.alphas = Ns, alphas = _resolve_structure(model, structure)
+        self.Ns, self.alphas = Ns, alphas = _resolve_structure(
+            model, structure, uD.shape[0] if per_design else None)
+        self.row_Ns = tuple(N if N.ndim == 2 else N[group] for N in Ns)
         self.scale = np.repeat((1.0, 1.0) + alphas, 2)
         self.Iref = tc.reference_invariants(Ns) * self.scale
-        self.Iu = tc.invariants(cw, Ns)
-        self.Bu = tc.invariant_bases(cw, Ns)
+        self.Iu = tc.invariants(cw, self.row_Ns)
+        self.Bu = tc.invariant_bases(cw, self.row_Ns)
         B, G = self.Iu.shape[0], uD.shape[0]
         self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
         self.rows = np.concatenate([group, np.arange(G)])
@@ -305,8 +329,9 @@ class _Evaluation:
         g_ref = g[B:]
         if cfg.mode == "nonpoly_linearC":
             self.Bref = tc.reference_bases(Ns) * self.scale[:, None, None]
-            T_ref = (g_ref @ self.Bref.reshape(n, 9)).reshape(G, 3, 3)
-            self.nc = NormCoefficients(psi[B:], g_ref, None, T_ref)
+            Bref = self.Bref.reshape(-1, n, 9)  # shared, or one stack per design
+            T_ref = g_ref @ Bref[0] if len(Bref) == 1 else (g_ref[:, None] @ Bref)[:, 0]
+            self.nc = NormCoefficients(psi[B:], g_ref, None, T_ref.reshape(G, 3, 3))
         else:
             self.nc = NormCoefficients(psi[B:], g_ref,
                                        _coefficient_corrections(g_ref, Ns, alphas), None)
@@ -345,13 +370,17 @@ class _Evaluation:
         H[:, 2, 2] += growth_curvature(self.cw.J, self.model.config.gamma)
         B6 = tc.sym_to_6(self.Bu) * self.scale[:, None]
         M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
-        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale, self.Ns)
+        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale, self.row_Ns)
         M *= 4.0
         return M
 
 
-def _evaluate(model, C, D, structure=None, check=False):
-    """(_Evaluation, single) for C (a (3, 3), (B, 3, 3) array or a CWorkspace) and D."""
+def _evaluate(model, C, D, structure=None, check=False, per_design=False):
+    """(_Evaluation, single) for C (a (3, 3), (B, 3, 3) array or a CWorkspace) and D.
+
+    per_design evaluates every row of D over all of C, on the C-workspace
+    tiled once per design.
+    """
     if isinstance(C, tc.CWorkspace):
         cw, single = C, False
     else:
@@ -360,8 +389,15 @@ def _evaluate(model, C, D, structure=None, check=False):
         if check:
             tc.check_metric(C)
         cw = tc.c_workspace(C.reshape(-1, 3, 3))
-    uD, group = _designs(_check_design(model, D), cw.C.shape[0])
-    return _Evaluation(model, cw, uD, group, structure), single
+    D = _check_design(model, D)
+    if per_design:
+        G, B = D.shape[0], cw.C.shape[0]
+        cw = tc.CWorkspace(*(np.tile(a, (G,) + (1,) * (a.ndim - 1))
+                             for a in (cw.C, cw.cof, cw.det, cw.J, cw.Cinv)))
+        uD, group = D, np.repeat(np.arange(G), B)
+    else:
+        uD, group = _designs(D, cw.C.shape[0])
+    return _Evaluation(model, cw, uD, group, structure, per_design), single
 
 
 def normalization_coefficients(model, D, structure=None):
@@ -387,6 +423,17 @@ def stress(model, C, D, structure=None, check=False):
     ev, single = _evaluate(model, C, D, structure, check)
     S = ev.stress()
     return S[0] if single else S
+
+
+def stress_per_design(model, C, D, structure=None):
+    """Stresses of each of G design rows D (G, m) over the same B metrics, (G, B, 3, 3).
+
+    C is a (B, 3, 3) array or its CWorkspace. structure is as for stress, or
+    holds one (G, 3, 3) stack per tensor, one tensor per design. All G x B
+    rows go through one evaluation whose design path runs once per design.
+    """
+    ev, _ = _evaluate(model, C, D, structure, per_design=True)
+    return ev.stress().reshape(ev.uD.shape[0], -1, 3, 3)
 
 
 def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):

@@ -6,11 +6,17 @@ a covariance-matrix-adaptation evolution strategy (CMA-ES) as the default
 global method and Nelder-Mead for cheap local polishing. Both handle box
 bounds by repairing samples onto the box and penalizing the repair
 distance, and both treat non-finite objective values as +inf.
+
+The candidates of one CMA-ES generation are independent, so cma_es can
+hand a batched objective the whole population at once; invert_design
+evaluates each generation as one surrogate call over all candidates.
+Nelder-Mead is sequential and evaluates one point at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,17 +34,21 @@ def _as_bounds(bounds, n):
     return b
 
 
+def _per_row(f):
+    """A scalar objective f(x) as a batched one, (k, n) -> k values."""
+    return lambda X: [f(x) for x in X]
+
+
 def _repair_and_penalize(f, bounds):
-    """Wrap f: evaluate at the clamped point plus a scaled repair penalty (0 on unbounded axes)."""
+    """Wrap a batched f, (k, n) -> (k,): each row is evaluated at its clamped point plus a
+    scaled repair penalty (0 on unbounded axes); non-finite values become inf."""
     lo, hi = bounds[:, 0], bounds[:, 1]
     width = np.maximum(hi - lo, 1e-12)
 
-    def wrapped(x):
-        xc = np.clip(x, lo, hi)
-        v = f(xc)
-        if not np.isfinite(v):
-            return np.inf
-        return float(v) + 1e3 * float(np.sum(((x - xc) / width) ** 2))
+    def wrapped(X):
+        Xc = np.clip(X, lo, hi)
+        v = np.asarray(f(Xc), dtype=float)
+        return np.where(np.isfinite(v), v + 1e3 * np.sum(((X - Xc) / width) ** 2, axis=1), np.inf)
 
     return wrapped
 
@@ -58,17 +68,19 @@ class OptimizeResult:
 
 
 def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
-           popsize=None, seed=0, tol_x=1e-14, tol_stagnation=200):
+           popsize=None, seed=0, tol_x=1e-14, tol_stagnation=200, vectorized=False):
     """(mu/mu_w, lambda)-CMA-ES with rank-one and rank-mu covariance updates.
 
-    Stops on max_evals, f <= f_target, step collapse (sigma times the largest
-    covariance scale below tol_x), or tol_stagnation iterations without
-    improvement of the best value.
+    f takes one point, or with vectorized=True the (lambda, n) population of
+    a generation and returns its lambda values. Stops on max_evals,
+    f <= f_target, step collapse (sigma times the largest covariance scale
+    below tol_x), or tol_stagnation iterations without improvement of the
+    best value.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     bounds = _as_bounds(bounds, n)
-    obj = _repair_and_penalize(f, bounds)
+    obj = _repair_and_penalize(f if vectorized else _per_row(f), bounds)
     rng = np.random.default_rng(seed)
 
     sigma = float(sigma0)
@@ -107,7 +119,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
         Z = rng.standard_normal((lam, n))
         Y = Z * d[None, :] @ B.T
         X = mean[None, :] + sigma * Y
-        fs = np.array([obj(x) for x in X])
+        fs = obj(X)
         n_evals += lam
         if it == 1 and not np.any(np.isfinite(fs)):
             raise RuntimeError("objective returned no finite values in the first generation")
@@ -163,17 +175,25 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
 
     Stops when the simplex diameter falls below tol, f reaches f_target, or
     the evaluation budget runs out. step sets the initial simplex edge per
-    coordinate (scalar or vector).
+    coordinate (scalar or vector). A budget below n + 1 evaluates only the
+    first max_evals vertices and returns the best of them.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     bounds = _as_bounds(bounds, n)
-    obj = _repair_and_penalize(f, bounds)
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
+    repaired = _repair_and_penalize(_per_row(f), bounds)
+
+    def obj(x):
+        return repaired(x[None])[0]
+
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
 
     simplex = np.vstack([x0] + [x0 + step[i] * np.eye(n)[i] for i in range(n)])
-    fs = np.array([obj(x) for x in simplex])
-    n_evals = n + 1
+    n_evals = min(n + 1, max_evals)
+    fs = np.full(n + 1, np.inf)
+    fs[:n_evals] = [obj(x) for x in simplex[:n_evals]]
     if not np.any(np.isfinite(fs)):
         raise RuntimeError("objective returned no finite values on the initial simplex")
     history = []
@@ -251,12 +271,14 @@ class InversionResult:
     n_evals: int
     restarts: list  # per-restart (x, f, stop)
     orientation: dict | None = None  # phi, axis, directions when fitted
+    n_extrapolated: int = 0  # evaluated candidates outside the model's declared design ranges
 
     def report(self):
         out = {
             "design": self.D.tolist(),
             "objective": self.objective,
             "n_evals": self.n_evals,
+            "n_extrapolated": self.n_extrapolated,
             "restarts": [
                 {"x": x.tolist(), "objective": f, "stop": stop} for x, f, stop in self.restarts
             ],
@@ -274,10 +296,15 @@ class InversionResult:
 def stress_mismatch(model, C, S_obs, D, structure=None):
     """Mean squared Frobenius residual of the surrogate stress on (C, S) pairs.
 
-    C may be a tc.CWorkspace, which a caller holding C fixed builds once.
+    D is one design (m,), giving a float, or G candidate designs (G, m),
+    giving (G,) from one energy.stress_per_design call; structure may then
+    hold one (G, 3, 3) stack per tensor. C may be a tc.CWorkspace, which a
+    caller holding C fixed builds once.
     """
-    res = energy.stress(model, C, D, structure=structure) - S_obs
-    return float(np.mean(np.einsum("bij,bij->b", res, res)))
+    D = np.asarray(D, dtype=float)
+    res = energy.stress_per_design(model, C, np.atleast_2d(D), structure=structure) - S_obs
+    f = np.mean(np.einsum("gbij,gbij->gb", res, res), axis=1)
+    return float(f[0]) if D.ndim == 1 else f
 
 
 def _orientation_bounds():
@@ -319,9 +346,12 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     sigma0 defaults to 0.3 times the widest bound; options holds extra
     keyword arguments for the chosen optimizer (popsize, tol_x, simplex
     coefficients, ...).
-    """
-    import warnings
 
+    CMA-ES evaluates each generation as one surrogate call over all its
+    candidates; Nelder-Mead evaluates one candidate at a time. Candidates
+    outside the model's declared design ranges are counted in
+    n_extrapolated rather than warned about.
+    """
     cw = tc.c_workspace(np.asarray(C, dtype=float))
     S_obs = np.asarray(S_obs, dtype=float)
     m = model.net.n_design
@@ -337,19 +367,39 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     if max_evals < 1:
         raise ValueError(f"max_evals must be at least 1, got {max_evals}")
 
-    def objective(x):
-        structure = None
+    failures = (ValueError, FloatingPointError, np.linalg.LinAlgError)
+    n_extrapolated = 0
+
+    def objective(X):
+        """Stress mismatch of each candidate row of X, (k,); inf where a candidate fails."""
+        nonlocal n_extrapolated
+        f = np.full(len(X), np.inf)
+        ok, structure = np.ones(len(X), dtype=bool), None
         if fit_orientation:
-            try:
-                structure = tc.structure_tensors(x[m], x[m + 1 : m + 4])
-            except (ValueError, ZeroDivisionError):
-                return np.inf
+            Ns = []
+            for i, x in enumerate(X):
+                try:
+                    Ns.append(tc.structure_tensors(x[m], x[m + 1 : m + 4])[:2])
+                except ValueError:  # a zero rotation axis
+                    ok[i] = False
+            if not Ns:
+                return f
+            structure = [np.array(stack) for stack in zip(*Ns)]
+        D = X[ok, :m]
+        n_extrapolated += int(np.count_nonzero(energy.extrapolating(model, D)))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "design parameters outside the declared training ranges")
             try:
-                return stress_mismatch(model, cw, S_obs, x[:m], structure=structure)
-            except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-                return np.inf
+                f[ok] = stress_mismatch(model, cw, S_obs, D, structure=structure)
+            except failures:
+                # a faulty candidate fails the whole batch: evaluate each alone, so only it gets inf
+                for i, j in enumerate(np.flatnonzero(ok)):
+                    one = None if structure is None else [N[i : i + 1] for N in structure]
+                    try:
+                        f[j] = stress_mismatch(model, cw, S_obs, D[i], structure=one)
+                    except failures:
+                        pass
+        return f
 
     opts = dict(options or {})
     step = opts.pop("step", None)
@@ -359,9 +409,10 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
         if method == "cma":
             s0 = sigma0 if sigma0 is not None else 0.3 * float(np.max(width))
             return cma_es(objective, x0, s0, bounds=bounds, max_evals=max_evals,
-                          f_target=f_target, seed=seed + 101 * k, **opts)
-        return nelder_mead(objective, x0, step=0.25 * width if step is None else step,
-                           bounds=bounds, max_evals=max_evals, f_target=f_target, **opts)
+                          f_target=f_target, seed=seed + 101 * k, vectorized=True, **opts)
+        return nelder_mead(lambda x: objective(x[None])[0], x0,
+                           step=0.25 * width if step is None else step, bounds=bounds,
+                           max_evals=max_evals, f_target=f_target, **opts)
 
     rng = np.random.default_rng(seed)
     starts = [bounds.mean(axis=1) if k == 0 else bounds[:, 0] + width * rng.random(bounds.shape[0])
@@ -380,7 +431,8 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
             "n1": R[:, 0],
             "n2": R[:, 1],
         }
-    return InversionResult(best.x[:m].copy(), best.fun, total_evals, summaries, orientation)
+    return InversionResult(best.x[:m].copy(), best.fun, total_evals, summaries, orientation,
+                           n_extrapolated)
 
 
 def _write_trace(trace_path, traces):

@@ -25,6 +25,8 @@ The kernels take the active structure tensors as a sequence ``Ns`` of 0
 (iso), 1 (transiso) or 2 (ortho) entries and return 4 + 2 len(Ns)
 invariants. Every anisotropic term is linear in N, so an activity factor
 a in (0, 1] is folded into the tensor: a N gives (a tr(C N), a tr(cof(C) N)).
+Each N is one (3, 3) tensor shared by every C, or a (..., 3, 3) stack that
+broadcasts against the batch shape of C (one tensor per row).
 
 All derivative formulas below are with respect to C and are exercised by
 finite-difference checks in the test suite.
@@ -244,7 +246,7 @@ def invariants(C, Ns=()):
     ----------
     C : (..., 3, 3) symmetric positive definite, or its CWorkspace.
     Ns : 0 (isotropic), 1 (transversely isotropic) or 2 (orthotropic)
-        (3, 3) structure tensors, activity factors folded in.
+        (3, 3) structure tensors, or per-row stacks, activity factors folded in.
 
     Returns
     -------
@@ -256,8 +258,8 @@ def invariants(C, Ns=()):
     I2 = cof[..., 0, 0] + cof[..., 1, 1] + cof[..., 2, 2]
     cols = [I1, I2, J, -2.0 * J]
     for N in Ns:
-        cols.append(np.einsum("...ij,ij->...", C, N))
-        cols.append(np.einsum("...ij,ij->...", cof, N))
+        cols.append(np.einsum("...ij,...ij->...", C, N))
+        cols.append(np.einsum("...ij,...ij->...", cof, N))
     return np.stack(cols, axis=-1)
 
 
@@ -304,15 +306,19 @@ def _aniso_cof_basis(Cinv, det, N):
 
 
 def reference_bases(Ns=()):
-    """B_i at C = I: {I, 2I, I/2, -I, N1, tr(N1) I - N1, N2, tr(N2) I - N2}."""
-    out = np.empty((4 + 2 * len(Ns), 3, 3))
-    out[0] = EYE3
-    out[1] = 2.0 * EYE3
-    out[2] = 0.5 * EYE3
-    out[3] = -EYE3
+    """B_i at C = I: {I, 2I, I/2, -I, N1, tr(N1) I - N1, N2, tr(N2) I - N2}.
+
+    Shape (4 + 2 len(Ns), 3, 3), or (..., 4 + 2 len(Ns), 3, 3) for stacks of N.
+    """
+    shp = np.broadcast_shapes(*(np.shape(N)[:-2] for N in Ns))
+    out = np.empty(shp + (4 + 2 * len(Ns), 3, 3))
+    out[..., 0, :, :] = EYE3
+    out[..., 1, :, :] = 2.0 * EYE3
+    out[..., 2, :, :] = 0.5 * EYE3
+    out[..., 3, :, :] = -EYE3
     for k, N in enumerate(Ns):
-        out[4 + 2 * k] = N
-        out[5 + 2 * k] = np.trace(N) * EYE3 - N
+        out[..., 4 + 2 * k, :, :] = N
+        out[..., 5 + 2 * k, :, :] = np.trace(N, axis1=-2, axis2=-1)[..., None, None] * EYE3 - N
     return out
 
 

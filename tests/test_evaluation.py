@@ -111,6 +111,35 @@ def test_single_design_row_matches_broadcast_rows(mode, aniso_class):
     assert np.max(np.abs(energy.tangent(m, C, d) - energy.tangent(m, C, rows))) < 1e-14
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("aniso_class", CLASSES)
+def test_stress_per_design_matches_one_call_per_design(mode, aniso_class):
+    rng = np.random.default_rng(29)
+    m = model_for(mode, aniso_class)
+    C = rand_spd(rng, 7)
+    D = rng.uniform(1.0, 5.0, (4, 2))
+    S = energy.stress_per_design(m, tc.c_workspace(C), D)
+    assert S.shape == (4, 7, 3, 3)
+    for g in range(4):
+        assert max_rel(S[g], energy.stress(m, C, D[g])) < 1e-12
+    if m.aniso is None:
+        return
+    Rs = [tc.structure_tensors(phi, rng.uniform(-1.0, 1.0, 3))[:2] for phi in rng.uniform(0.0, 3.0, 4)]
+    stacks = [np.array(t) for t in zip(*Rs)]
+    S = energy.stress_per_design(m, C, D, structure=stacks)
+    for g in range(4):
+        assert max_rel(S[g], energy.stress(m, C, D[g], structure=Rs[g])) < 1e-12
+    # every design's tensor is checked, and a stack is only taken one tensor per design
+    bad = [N.copy() for N in stacks]
+    bad[0][2] *= 1.5
+    with pytest.raises(ValueError, match="unit trace"):
+        energy.stress_per_design(m, C, D, structure=bad)
+    with pytest.raises(ValueError, match="unit trace"):
+        energy.stress_per_design(m, C, D[:3], structure=stacks)
+    with pytest.raises(ValueError, match="unit trace"):
+        energy.stress(m, C, D[0], structure=stacks)
+
+
 def test_workspace_input_matches_array_input():
     rng = np.random.default_rng(23)
     m = model_for("polyconvex", "ortho")
@@ -166,23 +195,95 @@ def test_call_counts_invert_design_objective(monkeypatch):
     rng = np.random.default_rng(26)
     C = rand_spd(rng, 8)
     S = energy.stress(m, C, np.array([2.0, 3.0]))
-    per_eval = []
+    for free_orientation in (False, True):
+        f = invert_design_objective(monkeypatch, m, C, S, free_orientation)
+        X = population(rng, free_orientation)  # one generation of 9 candidates
+        with counting() as counts:
+            fs = f(X)
+        assert np.all(np.isfinite(fs))
+        assert counts == {"cofactors": 0, "forward": 1, "unique": 0}
 
-    def one_eval_optimizer(f, x0, sigma0, **kwargs):
+
+# ---------------------------------------------------------------------------
+# the batched inversion objective
+
+
+def invert_design_objective(monkeypatch, m, C, S, free_orientation):
+    """The batched objective that invert_design hands to cma_es."""
+    captured = []
+
+    def capture(f, x0, sigma0, vectorized, **kwargs):
+        captured.append(f)
         x = np.array(x0, dtype=float)
         if x.size > 2:
             x[3:] = [0.3, -1.2, 0.8]  # the box center has a zero rotation axis
-        with counting() as counts:
-            fx = f(x)
-        per_eval.append(dict(counts))
-        return inverse.OptimizeResult(x, fx, 1, 1, "max_evals", [(1, fx)])
+        return inverse.OptimizeResult(x, 0.0, 0, 0, "max_evals", [])
 
-    monkeypatch.setattr(inverse, "cma_es", one_eval_optimizer)
+    monkeypatch.setattr(inverse, "cma_es", capture)
+    inverse.invert_design(m, C, S, d_bounds=[[1.0, 5.0], [1.0, 5.0]], restarts=1,
+                          free_orientation=free_orientation)
+    return captured[0]
+
+
+def population(rng, fit_orientation, k=9):
+    X = rng.uniform(1.0, 5.0, (k, 2))
+    if fit_orientation:
+        X = np.column_stack([X, rng.uniform(0.0, np.pi, k), rng.uniform(-1.0, 1.0, (k, 3))])
+    return X
+
+
+def per_candidate_mismatch(m, C, S, X):
+    return np.array([inverse.stress_mismatch(m, C, S, x[:2], structure=None if x.size == 2
+                                             else tc.structure_tensors(x[2], x[3:6]))
+                     for x in X])
+
+
+def rel_errors(f, ref):
+    return np.abs(f - ref) / np.abs(ref)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("aniso_class", CLASSES)
+@pytest.mark.parametrize("free_orientation", [False, True])
+def test_batched_objective_matches_per_candidate_mismatch(monkeypatch, mode, aniso_class,
+                                                          free_orientation):
+    rng = np.random.default_rng(30)
+    m = model_for(mode, aniso_class)
+    C = rand_spd(rng, 8)
+    # observed off the surrogate, so that no candidate's mismatch is a near-cancellation
+    S = 1.1 * energy.stress(m, C, np.array([2.0, 3.0]))
+    f = invert_design_objective(monkeypatch, m, C, S, free_orientation)
+    X = population(rng, free_orientation and aniso_class != "iso")
+    fs = f(X)
+    assert fs.shape == (9,)
+    assert np.max(rel_errors(fs, per_candidate_mismatch(m, C, S, X))) < 1e-12
+
+
+@pytest.mark.parametrize("aniso_class", ["transiso", "ortho"])
+def test_batched_objective_fails_only_the_faulty_candidates(monkeypatch, aniso_class):
+    rng = np.random.default_rng(31)
+    m = model_for("polyconvex", aniso_class)
+    C = rand_spd(rng, 8)
+    S = energy.stress(m, C, np.array([2.0, 3.0]))
     for free_orientation in (False, True):
-        res = inverse.invert_design(m, C, S, d_bounds=[[1.0, 5.0], [1.0, 5.0]], restarts=1,
-                                    free_orientation=free_orientation)
-        assert np.isfinite(res.objective)
-    assert per_eval == [{"cofactors": 0, "forward": 1, "unique": 0}] * 2
+        f = invert_design_objective(monkeypatch, m, C, S, free_orientation)
+        X = population(rng, free_orientation)
+        ref = per_candidate_mismatch(m, C, S, X)
+        faulty = [2]
+        X[2, 0] = np.nan  # fails the batched surrogate call, so each candidate is evaluated alone
+        if free_orientation:
+            X[6, 3:] = 0.0  # a zero rotation axis fails before the surrogate call
+            faulty.append(6)
+        fs = f(X)
+        good = np.setdiff1d(np.arange(9), faulty)
+        assert np.all(np.isinf(fs[faulty]))
+        assert np.max(rel_errors(fs[good], ref[good])) < 1e-12
+        if free_orientation:
+            X[2, 0] = 3.0  # only the zero axis is left: the batched call runs
+            fs = f(X)
+            assert np.isinf(fs[6]) and np.all(np.isfinite(np.delete(fs, 6)))
+            ok = np.delete(np.arange(9), 6)
+            assert np.max(rel_errors(fs[ok], per_candidate_mismatch(m, C, S, X[ok]))) < 1e-12
 
 
 def test_call_counts_invert_orientation_objective(monkeypatch):

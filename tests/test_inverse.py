@@ -1,5 +1,7 @@
 """Derivative-free optimizers and design recovery from stress observations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ def test_cma_rejects_bad_arguments():
     assert inverse.cma_es(sphere, np.ones(2), 0.0, max_evals=100).fun == sphere(np.ones(2))
 
 
+def test_cma_vectorized_matches_scalar_run():
+    def batched_sphere(X):
+        return np.sum(X**2, axis=1)
+
+    for bounds in (None, [[0.5, 3.0]] * 3):
+        a = inverse.cma_es(sphere, np.ones(3), 0.4, bounds=bounds, max_evals=600, seed=5)
+        b = inverse.cma_es(batched_sphere, np.ones(3), 0.4, bounds=bounds, max_evals=600, seed=5,
+                           vectorized=True)
+        assert np.array_equal(a.x, b.x) and a.fun == b.fun
+        assert (a.n_evals, a.n_iters, a.stop, a.history) == (b.n_evals, b.n_iters, b.stop, b.history)
+
+
 def test_cma_history_monotone():
     res = inverse.cma_es(sphere, np.ones(3), 0.3, max_evals=900, seed=7)
     fb = [f for _, f in res.history]
@@ -114,6 +128,21 @@ def test_nm_respects_bounds():
 def test_nm_simplex_diameter_stop():
     res = inverse.nelder_mead(sphere, np.ones(2), step=0.3, tol=1e-8, max_evals=10**6)
     assert res.stop == "tol"
+
+
+def test_nm_initial_simplex_respects_the_budget():
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        return float(x @ x)
+
+    res = inverse.nelder_mead(f, np.ones(4), max_evals=2)
+    assert res.n_evals == len(points) == 2
+    assert res.stop == "max_evals"
+    assert np.array_equal(res.x, np.ones(4)) and res.fun == 4.0
+    with pytest.raises(ValueError, match="max_evals"):
+        inverse.nelder_mead(f, np.ones(4), max_evals=0)
 
 
 def test_nm_rosenbrock_local():
@@ -205,6 +234,32 @@ def test_invert_trace_file(trained_like_model, tmp_path):
     assert len(lines) > 2
     report = res.report()
     assert set(report) >= {"design", "objective", "n_evals", "restarts"}
+
+
+def test_invert_counts_extrapolated_candidates(trained_like_model):
+    model, C = trained_like_model
+    S_obs = energy.stress(model, C, np.array([2.3, 5.1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # extrapolation is counted, not warned about
+        inside = inverse.invert_design(model, C, S_obs, restarts=1, seed=3, max_evals=120)
+        wide = inverse.invert_design(model, C, S_obs, d_bounds=[[0.0, 6.0], [2.0, 8.0]],
+                                     restarts=1, seed=3, max_evals=120)
+    assert inside.report()["n_extrapolated"] == 0
+    assert 0 < wide.report()["n_extrapolated"] <= wide.n_evals
+
+
+def test_invert_lets_other_warnings_through(trained_like_model, monkeypatch):
+    model, C = trained_like_model
+    S_obs = energy.stress(model, C, np.array([2.3, 5.1]))
+    inner = energy.stress_per_design
+
+    def noisy(*args, **kwargs):
+        warnings.warn("a surrogate warning", RuntimeWarning)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "stress_per_design", noisy)
+    with pytest.warns(RuntimeWarning, match="a surrogate warning"):
+        inverse.invert_design(model, C, S_obs, restarts=1, max_evals=12)
 
 
 def test_invert_nelder_mead_route(trained_like_model):

@@ -128,6 +128,22 @@ def test_reference_bases_identity_values():
     assert np.max(np.abs(B - Bg)) < 1e-14
 
 
+def test_per_row_structure_tensors_match_one_call_per_row():
+    rng = np.random.default_rng(31)
+    C = rand_spd(rng, 5)
+    R = rand_rotation(rng, 5)
+    N1 = np.einsum("bi,bj->bij", R[:, :, 0], R[:, :, 0])
+    N2 = 0.7 * np.einsum("bi,bj->bij", R[:, :, 1], R[:, :, 1])
+    I = tc.invariants(C, (N1, N2))
+    Bu = tc.invariant_bases(C, (N1, N2))
+    Bref = tc.reference_bases((N1, N2))
+    assert I.shape == (5, 8) and Bu.shape == Bref.shape == (5, 8, 3, 3)
+    for b in range(5):
+        assert np.max(np.abs(I[b] - tc.invariants(C[b], (N1[b], N2[b])))) < 1e-14
+        assert np.max(np.abs(Bu[b] - tc.invariant_bases(C[b], (N1[b], N2[b])))) < 1e-14
+        assert np.array_equal(Bref[b], tc.reference_bases((N1[b], N2[b])))
+
+
 def test_basis_example_trC_I_minus_C():
     C = np.diag([4.0, 1.0, 1.0])
     B = tc.invariant_bases(C)
