@@ -7,11 +7,16 @@ residual with the consistent tangent
     K_aibj = int dN_a/dX_M (delta_ij S_MN + F_iK CC_KMNQ F_jQ) dN_b/dX_N dV,
 
 assembled per element in Voigt form as sum_q w_q (B^T CC66 B + geometric
-term), with B the 6x24 strain-displacement matrix of F and dN/dX, and
-dense solves (the meshes of interest stay in the hundreds of nodes). All
+term), with B the 6x24 strain-displacement matrix of F and dN/dX. All
 quadrature points of all elements go to the constitutive model in one call
 per Newton iteration, which returns the stresses and the 6x6 tangent from
 a single network evaluation.
+
+K is sparse: its CSC pattern is built once per mesh and each assembly
+scatters the element matrices onto its slots. The free-dof block is
+factored by LAPACK's banded Cholesky after a reverse Cuthill-McKee
+reordering, whose band is planned once per solve; a K that is not
+positive definite falls back to a general sparse direct solve.
 
 The canned load case is a simply supported beam with a prescribed downward
 displacement on the midspan top face; the orientation inverse problem seeks
@@ -25,6 +30,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import energy, inverse
 from . import tensor_core as tc
@@ -125,7 +133,8 @@ class QuadratureData:
     dNdX: np.ndarray  # (n_elems, 8 qp, 8 nodes, 3)
     wdetJ: np.ndarray  # (n_elems, 8 qp)
     edofs: np.ndarray  # (n_elems, 24) element dofs, node-major
-    k_index: np.ndarray  # (n_elems * 24 * 24,) flat positions of element entries in K
+    k_index: np.ndarray  # (n_elems * 24 * 24,) slot of each element entry in K's pattern
+    k_pattern: tuple  # (indices, indptr) of K's CSC pattern, rows sorted in each column
     voigt_grads: tuple  # (gM, gN), each (n_elems, 8 qp, 6, 8), from _voigt_gradients
 
 
@@ -139,9 +148,36 @@ def precompute_quadrature(mesh):
     invJ = np.linalg.inv(Jac)
     dNdX = np.einsum("qad,eqmd->eqam", dN_all, invJ)
     edofs = (3 * mesh.elems[:, :, None] + np.arange(3)).reshape(-1, 24)
-    k_index = (edofs[:, :, None] * mesh.n_dof + edofs[:, None, :]).ravel()
-    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index,
+    k_index, k_pattern = _stiffness_pattern(mesh.elems, mesh.n_nodes)
+    return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index, k_pattern,
                           _voigt_gradients(dNdX))
+
+
+def _stiffness_pattern(elems, n_nodes):
+    """Slots of the element entries in K's CSC pattern, and the pattern.
+
+    Two nodes sharing an element couple all three components both ways, so
+    the pattern is the node adjacency with each node pair widened to a 3x3
+    block: node column J holding the c_J node rows I_0 < I_1 < ... from
+    node slot p_J on becomes the dof columns 3 J + j, whose rows 3 I_k + i
+    sit at slot 9 p_J + 3 c_J j + 3 k + i. Deduplicating node pairs rather
+    than dof pairs keeps the sort nine times smaller.
+    """
+    # node pair (row a, column b) of every element, keyed column-major
+    keys = elems[:, None, :] * n_nodes + elems[:, :, None]
+    pairs, node_slot = np.unique(keys, return_inverse=True)
+    col, row = np.divmod(pairs, n_nodes)
+    count = np.bincount(col, minlength=n_nodes)
+    start = np.concatenate([[0], np.cumsum(count)])
+    i3 = np.arange(3)
+    first = 9 * start[col] + 3 * (np.arange(pairs.size) - start[col])
+    slots = first[:, None, None] + (3 * count[col])[:, None, None] * i3[:, None] + i3  # (pair, j, i)
+    indices = np.empty(slots.size, dtype=np.int32)
+    indices[slots] = (3 * row)[:, None, None] + i3
+    indptr = np.append(9 * start[:-1, None] + 3 * count[:, None] * i3, slots.size)
+    # element entry (a, i, b, j) lies in column 3 n_b + j, row 3 n_a + i
+    k_index = slots[node_slot.reshape(keys.shape)].transpose(0, 1, 4, 2, 3)
+    return k_index.ravel(), (indices, indptr.astype(np.int32))
 
 
 def deformation_gradients(mesh, quad, u):
@@ -154,7 +190,7 @@ def deformation_gradients(mesh, quad, u):
 @dataclass
 class AssemblyResult:
     residual: np.ndarray  # (n_dof,) internal forces (no external loads)
-    K: np.ndarray  # (n_dof, n_dof) consistent tangent
+    K: scipy.sparse.csc_array  # (n_dof, n_dof) consistent tangent on the quad.k_pattern slots
     F: np.ndarray  # (E, 8, 3, 3) deformation gradients
     S: np.ndarray  # (E, 8, 3, 3) second Piola-Kirchhoff stresses
 
@@ -222,8 +258,10 @@ def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True):
                   quad.dNdX.transpose(0, 1, 3, 2).reshape(E, Q * 3, 8))
     Ke = Ke.reshape(E, 8, 3, 8, 3)
     Ke += G[:, :, None, :, None] * np.eye(3)[:, None, :]
-    K = np.bincount(quad.k_index, weights=Ke.ravel(), minlength=mesh.n_dof**2)
-    return AssemblyResult(residual, K.reshape(mesh.n_dof, mesh.n_dof), F, S)
+    indices, indptr = quad.k_pattern
+    data = np.bincount(quad.k_index, weights=Ke.ravel(), minlength=indices.size)
+    K = scipy.sparse.csc_array((data, indices, indptr), shape=(mesh.n_dof, mesh.n_dof))
+    return AssemblyResult(residual, K, F, S)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +310,13 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
         raise ValueError("bc_dofs and bc_values must have equal length")
     if np.unique(bc_dofs).size != bc_dofs.size:
         raise ValueError("bc_dofs contains duplicates")
+    if np.any((bc_dofs < 0) | (bc_dofs >= mesh.n_dof)):
+        raise ValueError(f"bc_dofs must lie in [0, {mesh.n_dof})")
+    if not np.all(np.isfinite(bc_values)):
+        raise ValueError("bc_values must be finite")
     quad = precompute_quadrature(mesh)
-    free = np.setdiff1d(np.arange(mesh.n_dof), bc_dofs)
+    plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
+    free = plan.order
     u = np.zeros(mesh.n_dof)
     norms_per_step = []
     last = None
@@ -287,7 +330,7 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
             norms.append(norm)
             if norm < tol:
                 break
-            u[free] += _solve_spd_or_general(last.K[np.ix_(free, free)], -r_f)
+            u[free] += plan.solve(last.K, -r_f)
         else:
             raise RuntimeError(f"Newton did not converge in load step {step} "
                                f"after {max_iter} iterations (residual {norms[-1]:.3e})")
@@ -295,14 +338,61 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
 
 
-def _solve_spd_or_general(K, b):
-    """Cholesky solve, falling back to a general direct solve with a warning."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(K), b)
-    except np.linalg.LinAlgError:
-        warnings.warn("global stiffness is not positive definite; "
-                      "continuing with a general direct solve")
-        return np.linalg.solve(K, b)
+@dataclass
+class BandPlan:
+    """LAPACK upper band storage of K's free block in reverse Cuthill-McKee order.
+
+    The band holds a[r, c] for r <= c <= r + bandwidth at flat position
+    (bandwidth + r - c) * n_free + c, r and c counted in `order`.
+    """
+
+    order: np.ndarray  # (n_free,) free dofs, reordered to narrow the band
+    bandwidth: int
+    src: np.ndarray  # pattern slots of the block's upper triangle
+    dest: np.ndarray  # their flat positions in the band
+
+    def band(self, K):
+        ab = np.zeros((self.bandwidth + 1) * self.order.size)
+        ab[self.dest] = K.data[self.src]
+        return ab.reshape(self.bandwidth + 1, self.order.size)
+
+    def solve(self, K, b):
+        """x with K[order][:, order] x = b: banded Cholesky, or a general
+        sparse direct solve with a warning when the block is not positive
+        definite."""
+        try:
+            cb = scipy.linalg.cholesky_banded(self.band(K))
+        except np.linalg.LinAlgError:
+            warnings.warn("global stiffness is not positive definite; "
+                          "continuing with a general direct solve")
+            return scipy.sparse.linalg.splu(K[self.order][:, self.order]).solve(b)
+        return scipy.linalg.cho_solve_banded((cb, False), b)
+
+
+def band_plan(quad, free):
+    """Band plan for the free dofs `free` (sorted) of K's pattern."""
+    indices, indptr = quad.k_pattern
+    n_dof = indptr.size - 1
+    local = np.full(n_dof, -1)
+    local[free] = np.arange(free.size)
+    rows = local[indices]
+    cols = np.repeat(local, np.diff(indptr))
+    src = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[src], cols[src]
+    order, position = free, np.arange(free.size)
+    if free.size:  # reverse_cuthill_mckee rejects an empty graph
+        # the block's pattern, column-compressed (it is symmetric, so CSR reads the same)
+        block_ptr = np.searchsorted(cols, np.arange(free.size + 1))
+        graph = scipy.sparse.csr_array((np.ones(src.size), rows, block_ptr),
+                                       shape=(free.size, free.size))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        order = free[perm]
+        position[perm] = np.arange(free.size)
+    rows, cols = position[rows], position[cols]
+    upper = rows <= cols
+    bandwidth = int(np.max(cols - rows, initial=0))
+    dest = (bandwidth + rows[upper] - cols[upper]) * free.size + cols[upper]
+    return BandPlan(order, bandwidth, src[upper], dest)
 
 
 def stretch_bc(mesh, stretch, axis=0):

@@ -1,5 +1,7 @@
 """Mesh, quadrature, assembly consistency, Newton solves, orientation fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,8 @@ def test_tangent_matches_fd_of_residual():
     rng = np.random.default_rng(2)
     u = 0.02 * rng.standard_normal(mesh.n_dof)
     out = fem.assemble(mesh, quad, model, D, u)
-    assert np.allclose(out.K, out.K.T, atol=1e-9 * np.abs(out.K).max())
+    K = out.K.toarray()
+    assert np.allclose(K, K.T, atol=1e-9 * np.abs(K).max())
     h = 1e-6
     for d in rng.choice(mesh.n_dof, size=8, replace=False):
         up, um = u.copy(), u.copy()
@@ -134,7 +137,8 @@ def test_tangent_matches_fd_multi_element_with_structure_override():
     rng = np.random.default_rng(10)
     u = 0.03 * rng.standard_normal(mesh.n_dof)
     out = fem.assemble(mesh, quad, model, D, u, structure=structure)
-    assert np.allclose(out.K, out.K.T, atol=1e-9 * np.abs(out.K).max())
+    K = out.K.toarray()
+    assert np.allclose(K, K.T, atol=1e-9 * np.abs(K).max())
     h = 1e-6
     for d in range(mesh.n_dof):
         up, um = u.copy(), u.copy()
@@ -231,6 +235,87 @@ def test_bc_validation():
         fem.solve_displacement(mesh, model, [2.0, 3.0], [0, 1], [0.0])
     with pytest.raises(ValueError, match="duplicates"):
         fem.solve_displacement(mesh, model, [2.0, 3.0], [0, 0], [0.0, 0.0])
+    for bad in ([-1, 1], [0, mesh.n_dof]):
+        with pytest.raises(ValueError, match="bc_dofs must lie"):
+            fem.solve_displacement(mesh, model, [2.0, 3.0], bad, [0.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bc_values must be finite"):
+            fem.solve_displacement(mesh, model, [2.0, 3.0], [0, 1], [0.0, bad])
+
+
+# ---------------------------------------------------------------------------
+# sparse stiffness and the banded solve
+
+
+def beam_tangent():
+    """K and residual of a 4x2x2 beam halfway into its first load step, with
+    the free dofs of its supports and their band plan."""
+    mesh = fem.box_mesh((4.0, 1.0, 1.0), (4, 2, 2))
+    quad = fem.precompute_quadrature(mesh)
+    model = tiny_model("transiso", seed=9)
+    structure = tc.structure_tensors(0.8, np.array([0.4, -0.7, 0.6]))
+    bc_dofs, bc_values = fem.beam_bc(mesh, 0.1)
+    u = np.zeros(mesh.n_dof)
+    u[bc_dofs] = 0.5 * bc_values
+    out = fem.assemble(mesh, quad, model, np.array([2.5, 3.5]), u, structure=structure)
+    free = np.setdiff1d(np.arange(mesh.n_dof), bc_dofs)
+    return out, free, fem.band_plan(quad, free)
+
+
+def test_banded_newton_update_matches_dense_solve():
+    out, free, plan = beam_tangent()
+    assert np.array_equal(np.sort(plan.order), free)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = plan.solve(out.K, -out.residual[plan.order])
+    du = np.zeros(out.residual.size)
+    du[plan.order] = x
+    ref = np.linalg.solve(out.K.toarray()[free][:, free], -out.residual[free])
+    assert np.max(np.abs(du[free] - ref)) <= 1e-10 * np.abs(ref).max()
+
+
+def test_band_plan_holds_the_upper_triangle_of_the_free_block():
+    out, free, plan = beam_tangent()
+    A = out.K.toarray()[plan.order][:, plan.order]
+    ab, w = plan.band(out.K), plan.bandwidth
+    assert ab.shape == (w + 1, free.size)
+    for d in range(w + 1):
+        assert np.array_equal(ab[w - d, d:], np.diag(A, d))
+        assert not ab[w - d, :d].any()
+    assert not np.triu(A, w + 1).any()
+    # the reordering narrows the band of the natural dof order
+    rows, cols = np.nonzero(out.K.toarray()[free][:, free])
+    assert w < np.max(cols - rows)
+
+
+def test_all_dofs_prescribed_solve():
+    mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+    model = tiny_model("iso", seed=5)
+    D = np.array([2.0, 2.5])
+    F0 = np.array([[1.04, 0.02, 0.0], [0.02, 0.98, 0.01], [0.0, 0.01, 1.03]])
+    u_affine = mesh.nodes @ (F0 - np.eye(3)).T
+    bc_dofs = np.concatenate([3 * np.arange(8) + c for c in range(3)])
+    bc_values = np.concatenate([u_affine[:, c] for c in range(3)])
+    res = fem.solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=2)
+    assert np.allclose(res.u, u_affine, atol=1e-15)
+    assert np.max(np.abs(res.S - energy.stress(model, F0.T @ F0, D))) < 1e-6
+    assert res.newton_norms == [[0.0], [0.0]]
+
+
+def test_indefinite_stiffness_warns_and_matches_general_solve():
+    out, free, plan = beam_tangent()
+    K = out.K.copy()
+    indices, indptr = K.indices, K.indptr
+    diagonal = np.flatnonzero(indices == np.repeat(np.arange(K.shape[0]), np.diff(indptr)))
+    # shift the spectrum of the free block to straddle zero, well away from it
+    eig = np.linalg.eigvalsh(K.toarray()[free][:, free])
+    mid = eig.size // 2
+    K.data[diagonal] -= 0.5 * (eig[mid - 1] + eig[mid])
+    b = -out.residual[plan.order]
+    with pytest.warns(UserWarning, match="positive definite"):
+        x = plan.solve(K, b)
+    ref = np.linalg.solve(K.toarray()[plan.order][:, plan.order], b)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.abs(ref).max()
 
 
 def test_cauchy_and_von_mises():
