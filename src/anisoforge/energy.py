@@ -307,9 +307,12 @@ class _Evaluation:
 
     With per_design, a structure override may hold one tensor per design
     (a (G, 3, 3) stack); the sample rows then take the tensor of their design.
+
+    A training Workspace passed as ws lends its row index, basis stack and
+    network cache (see Workspace); cw, uD and group are then its own.
     """
 
-    def __init__(self, model, cw, uD, group, structure=None, per_design=False):
+    def __init__(self, model, cw, uD, group, structure=None, per_design=False, ws=None):
         cfg = model.config
         n = cfg.n_active
         self.model, self.cw, self.uD, self.group = model, cw, uD, group
@@ -319,12 +322,17 @@ class _Evaluation:
         self.scale = np.repeat((1.0, 1.0) + alphas, 2)
         self.Iref = tc.reference_invariants(Ns) * self.scale
         self.Iu = tc.invariants(cw, self.row_Ns)
-        self.Bu = tc.invariant_bases(cw, self.row_Ns)
         B, G = self.Iu.shape[0], uD.shape[0]
+        if ws is None:
+            self.Bu = tc.invariant_bases(cw, self.row_Ns)
+            self.rows = np.concatenate([group, np.arange(G)])
+        else:
+            self.Bu, self.rows = ws.invariant_bases(self.row_Ns), ws.rows
         self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
-        self.rows = np.concatenate([group, np.arange(G)])
         psi, g, self.cache = picnn.value_and_grad(model.net, self.X, uD, return_cache=True,
-                                                  group=self.rows)
+                                                  group=self.rows, out=None if ws is None else ws.cache)
+        if ws is not None:
+            ws.cache = self.cache
         self.psi_net, self.g = psi[:B], g[:B]
         g_ref = g[B:]
         if cfg.mode == "nonpoly_linearC":
@@ -466,14 +474,42 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
 
 @dataclass
 class Workspace(tc.CWorkspace):
-    """Per-dataset constants reused across epochs: the C-workspace of the
-    samples, their designs as (uD, group), the target stresses and optional
-    (3, 3) per-component residual weights."""
+    """Per-dataset constants and buffers reused across training epochs.
+
+    Constants: the C-workspace of the B samples, their designs as (uD,
+    group) with G design rows, the target stresses, optional (3, 3)
+    per-component residual weights, the (B + G) network row index ``rows``
+    (the samples, then one reference row per design) and ``scatter``, the
+    (G, B) matrix that sums sample rows per design.
+
+    Buffers, owned by the workspace and overwritten by each
+    loss_and_param_gradients call: ``cache``, the picnn cache whose buffers
+    hold the network's x path, and ``Bu``, the (B, n, 3, 3) basis stack,
+    whose four isotropic slots are computed once from C and whose
+    anisotropic slots are rewritten for the current orientation. No array a
+    call returns (LossGradients, S_hat) aliases either of them.
+    """
 
     uD: np.ndarray
     group: np.ndarray
     S_true: np.ndarray
     weight: np.ndarray | None = None
+    rows: np.ndarray = field(init=False)
+    scatter: object = field(init=False)
+    cache: object = field(init=False, default=None)
+    Bu: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        G = self.uD.shape[0]
+        self.rows = np.concatenate([self.group, np.arange(G)])
+        self.scatter = picnn.group_scatter(self.group, G)
+
+    def invariant_bases(self, Ns):
+        """tc.invariant_bases of the samples for the active tensors Ns, in the Bu buffer."""
+        if self.Bu is None or self.Bu.shape[1] != 4 + 2 * len(Ns):
+            self.Bu = tc.invariant_bases(self, Ns)
+            return self.Bu
+        return tc.anisotropic_bases(self, Ns, self.Bu)
 
 
 def make_workspace(model, C, D, S_true, component_weights=None):
@@ -517,7 +553,7 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     B = ws.C.shape[0]
     G = ws.uD.shape[0]
     aniso = model.aniso
-    ev = _Evaluation(model, ws, ws.uD, ws.group)
+    ev = _Evaluation(model, ws, ws.uD, ws.group, ws=ws)
     c = ev.coefficients()
     S_hat = ev.stress()
 
@@ -529,14 +565,12 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     # v_i = 2 dS : Bu_i per sample; the sensitivity to c_i is u_i = scale_i v_i
     v = 2.0 * (ev.Bu.reshape(B, n, 9) @ dS.reshape(B, 9, 1))[..., 0]
     u = ev.scale * v
-    U = np.zeros((G, n))
-    np.add.at(U, ws.group, u)
+    U = ws.scatter @ u
 
     # seeds for the reference rows, through the normalization terms
     gb = ev.nc.g_ref
     if cfg.mode == "nonpoly_linearC":
-        dT = np.zeros((G, 9))
-        np.add.at(dT, ws.group, dS.reshape(B, 9))
+        dT = ws.scatter @ dS.reshape(B, 9)
         dT *= -2.0
         seed_ref = dT @ ev.Bref.reshape(n, 9).T
     else:

@@ -302,7 +302,9 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
 
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
     steps); all remaining dofs are free and carry no external load. Raises
-    if any Newton loop fails to reach the residual tolerance.
+    ValueError for a tolerance that is not finite and positive or a step or
+    iteration count below 1, and RuntimeError if any Newton loop fails to
+    reach the residual tolerance.
     """
     bc_dofs = np.asarray(bc_dofs, dtype=int)
     bc_values = np.asarray(bc_values, dtype=float)
@@ -314,6 +316,11 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
         raise ValueError(f"bc_dofs must lie in [0, {mesh.n_dof})")
     if not np.all(np.isfinite(bc_values)):
         raise ValueError("bc_values must be finite")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    for name, count in (("n_steps", n_steps), ("max_iter", max_iter)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     quad = precompute_quadrature(mesh)
     plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
     free = plan.order

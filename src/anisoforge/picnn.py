@@ -37,6 +37,19 @@ distinct design. Every entry point takes an optional index ``group``: Y
 then holds G design rows and row b of X is paired with Y[group[b]]. The
 design path and the Wxy projections run on the G rows and are gathered by
 group; backprop sums their adjoints back over the rows of each group.
+
+Buffers. The x path is the only batch-sized work, and every (B, width_x)
+array of it lives in a buffer owned by the cache of the call (``_Cache``):
+the pre-activations, their softplus and sigmoid, the gradient pass's s and
+d, backprop's adjoints and its unwind temporaries, and the group scatter
+matrix. A fresh call allocates them with np.empty. value_and_grad takes a
+previous cache as ``out``, in numpy's out= idiom, and writes into its
+buffers when the batch and the architecture match, so a caller that
+evaluates one batch shape repeatedly (a training epoch) allocates no
+batch-sized array after its first call. Like numpy's out=, the psi and
+gradient value_and_grad returns are views into the cache and change when
+that cache is passed back; backprop's dtheta and dX are always fresh
+arrays and never alias a buffer.
 """
 
 from __future__ import annotations
@@ -47,14 +60,28 @@ import numpy as np
 import scipy.sparse
 
 
-def softplus_sigmoid(z):
-    """Numerically stable (softplus(z), sigmoid(z)) sharing one exp evaluation."""
-    e = np.exp(-np.abs(z))
-    sp = np.log1p(e) + np.maximum(z, 0.0)
-    sig = 1.0 / (1.0 + e)
-    neg = z < 0
-    sig[neg] = 1.0 - sig[neg]
-    return sp, sig
+def softplus_sigmoid(z, sp=None, sig=None, tmp=None):
+    """Numerically stable (softplus(z), sigmoid(z)) sharing one exp evaluation.
+
+    With e = exp(-|z|), softplus(z) = log1p(e) + max(z, 0) and sigmoid(z)
+    is t = 1 / (1 + e) for z >= 0 and 1 - t for z < 0. sp and sig receive
+    the results and tmp serves as scratch, all arrays of z's shape; each
+    one not given is allocated.
+    """
+    sp, sig, tmp = (np.empty_like(z) if a is None else a for a in (sp, sig, tmp))
+    e = np.exp(np.negative(np.abs(z, out=sig), out=sig), out=sig)
+    np.add(np.log1p(e, out=sp), np.maximum(z, 0.0, out=tmp), out=sp)
+    t = np.divide(1.0, np.add(e, 1.0, out=sig), out=sig)
+    # sigmoid = s + (1 - 2 s) t with s = [z < 0], bit for bit: (-1) t is
+    # exact and 1 + (-t) rounds as 1 - t does; a where= mask is slower
+    k = np.less(z, 0.0, out=tmp)
+    k *= -2.0
+    k += 1.0
+    t *= k
+    k -= 1.0
+    k *= -0.5
+    t += k
+    return sp, t
 
 
 def softplus(z):
@@ -161,45 +188,72 @@ def _check_inputs(params, X, Y, group=None):
 
 
 class _Cache:
-    __slots__ = ("X", "Y", "Xs", "Ys", "us", "su", "zs", "sz", "A", "w", "psi", "d", "s", "g")
+    """Forward and gradient state of one batch, in buffers reused through ``out``.
+
+    Shapes: sz, s, Xs[1:] and the two scratch arrays z and tmp are (B,
+    width_x); d[0] is (B, n_inv), d[1:L] are (B, width_x) and d[L] is a
+    broadcast view of w; psi is (B,). back holds backprop's buffers, made by
+    its first backprop: the L adjoints dz and the adjoints dXs[1:] of Xs[1:].
+    scatter is the (group, matrix) pair backprop sums design-path adjoints
+    with, rebuilt only when the group changes. The design path (Ys, su) has
+    G rows and is allocated per call.
+    """
+
+    __slots__ = ("shape", "X", "Y", "Xs", "Ys", "su", "sz", "A", "w", "psi",
+                 "d", "s", "g", "z", "tmp", "back", "scatter")
+
+    def __init__(self, shape):
+        B, n, wx, L = self.shape = shape
+        self.sz, self.s = ([np.empty((B, wx)) for _ in range(L)] for _ in range(2))
+        self.Xs = [None] + [np.empty((B, wx)) for _ in range(L)]
+        self.d = [np.empty((B, n))] + [np.empty((B, wx)) for _ in range(L - 1)] + [None]
+        self.psi = np.empty(B)
+        self.z, self.tmp = np.empty((B, wx)), np.empty((B, wx))
+        self.back = self.scatter = None
 
 
-def _forward(params, X, Y, group=None):
-    c = _Cache()
-    c.X, c.Y = X, Y
+def _forward(params, X, Y, group=None, out=None):
     L = params.depth
+    shape = (X.shape[0], params.n_inv, params.width_x, L)
+    c = out if out is not None and out.shape == shape else _Cache(shape)
+    c.X, c.Y = X, Y
     c.A = [params.realized_xx(h) for h in range(L)]
     c.w = params.realized_out()
-    c.Ys, c.us, c.su = [Y], [], []
+    c.Ys, c.su = [Y], []
     for h in range(L):
         u = c.Ys[h] @ params.weights[f"Wyy{h}"].T + params.weights[f"by{h}"]
         sp, sig = softplus_sigmoid(u)
-        c.us.append(u)
         c.su.append(sig)
         c.Ys.append(sp)
-    c.Xs, c.zs, c.sz = [X], [], []
+    c.Xs[0] = X
     for h in range(L):
         zy = c.Ys[h + 1] @ params.weights[f"Wxy{h}"].T + params.weights[f"bx{h}"]
-        z = c.Xs[h] @ c.A[h].T + (zy if group is None else zy[group])
-        sp, sig = softplus_sigmoid(z)
-        c.zs.append(z)
-        c.sz.append(sig)
-        c.Xs.append(sp)
-    c.psi = c.Xs[L] @ c.w + params.weights["bout"][0]
+        z = np.matmul(c.Xs[h], c.A[h].T, out=c.z)
+        # group was checked against the G rows, so clip mode only skips take's buffering
+        z += zy if group is None else np.take(zy, group, axis=0, out=c.tmp, mode="clip")
+        softplus_sigmoid(z, c.Xs[h + 1], c.sz[h], c.tmp)
+    np.matmul(c.Xs[L], c.w, out=c.psi)
+    c.psi += params.weights["bout"][0]
     return c
 
 
 def _grad_pass(params, c):
     L = params.depth
-    B = c.X.shape[0]
-    c.d = [None] * (L + 1)
-    c.s = [None] * L
-    c.d[L] = np.broadcast_to(c.w, (B, c.w.size))
+    c.d[L] = np.broadcast_to(c.w, (c.X.shape[0], c.w.size))
     for h in range(L - 1, -1, -1):
-        c.s[h] = c.sz[h] * c.d[h + 1]
-        c.d[h] = c.s[h] @ c.A[h]
+        np.multiply(c.sz[h], c.d[h + 1], out=c.s[h])
+        np.matmul(c.s[h], c.A[h], out=c.d[h])
     c.g = c.d[0]
     return c
+
+
+def group_scatter(group, n_groups):
+    """(n_groups, B) sparse matrix whose product with a (B, k) array sums the rows of each group.
+
+    The sums run over the rows in increasing order, as np.add.at does.
+    """
+    B = group.size
+    return scipy.sparse.csr_array((np.ones(B), group, np.arange(B + 1)), shape=(B, n_groups)).T
 
 
 def value(params, X, Y, group=None):
@@ -207,9 +261,15 @@ def value(params, X, Y, group=None):
     return _forward(params, *_check_inputs(params, X, Y, group)).psi
 
 
-def value_and_grad(params, X, Y, return_cache=False, group=None):
-    """psi and d psi / dx for a batch: ((B,), (B, n_inv))."""
-    c = _grad_pass(params, _forward(params, *_check_inputs(params, X, Y, group)))
+def value_and_grad(params, X, Y, return_cache=False, group=None, out=None):
+    """psi and d psi / dx for a batch: ((B,), (B, n_inv)).
+
+    out is a cache from an earlier value_and_grad(..., return_cache=True);
+    its buffers receive this batch when its shapes match, and a fresh cache
+    is made otherwise. The returned psi and gradient are views into the
+    cache.
+    """
+    c = _grad_pass(params, _forward(params, *_check_inputs(params, X, Y, group), out=out))
     if return_cache:
         return c.psi, c.g, c
     return c.psi, c.g
@@ -259,7 +319,8 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
     dX is dQ/dx per batch row, i.e. seed_val*grad + Hessian @ seed_grad.
 
     A cache from value_and_grad(..., return_cache=True) on the same inputs
-    may be passed to skip recomputing the forward and gradient passes.
+    may be passed to skip recomputing the forward and gradient passes. The
+    adjoints are computed in the cache's buffers; dtheta and dX are fresh.
     """
     X, Y, group = _check_inputs(params, X, Y, group)
     L = params.depth
@@ -269,14 +330,21 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
         if seed_grad is not None:
             _grad_pass(params, cache)
     c = cache
+    if c.back is None:
+        c.back = ([np.empty((B, params.width_x)) for _ in range(L)],
+                  [None] + [np.empty((B, params.width_x)) for _ in range(L)])
+    dz, dXs = c.back
+    t1, t2 = c.tmp, c.z  # the forward pass's scratch
     # design-path adjoints are summed over the rows sharing a design row
-    scatter = None if group is None else scipy.sparse.csr_array(
-        (np.ones(B), group, np.arange(B + 1)), shape=(B, Y.shape[0])).T
+    scatter = None
+    if group is not None:
+        if c.scatter is None or c.scatter[1].shape[0] != Y.shape[0] or not np.array_equal(
+                c.scatter[0], group):
+            c.scatter = (group.copy(), group_scatter(group, Y.shape[0]))
+        scatter = c.scatter[1]
     dA = [np.zeros_like(c.A[h]) for h in range(L)]
     dWxy = [None] * L
     dbx = [None] * L
-    dz = [np.zeros((B, params.width_x)) for _ in range(L)]
-    dXs = [np.zeros_like(c.Xs[h]) for h in range(L + 1)]
     dYs = [np.zeros_like(c.Ys[h]) for h in range(L + 1)]
     dw = np.zeros_like(c.w)
     dbout = 0.0
@@ -286,22 +354,34 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
         dd = np.asarray(seed_grad, dtype=float)
         for h in range(L):
             sp1 = c.sz[h]
-            ds = dd @ c.A[h].T
+            ds = np.matmul(dd, c.A[h].T, out=t1)
             dA[h] += c.s[h].T @ dd
-            dz[h] += sp1 * (1.0 - sp1) * c.d[h + 1] * ds
-            dd = sp1 * ds
+            # dz_h = sp1 (1 - sp1) d_{h+1} ds
+            np.multiply(sp1, np.subtract(1.0, sp1, out=dz[h]), out=dz[h])
+            dz[h] *= c.d[h + 1]
+            dz[h] *= ds
+            dd = np.multiply(sp1, ds, out=t2)
         dw += dd.sum(axis=0)
 
     if seed_val is not None:
         sv = np.asarray(seed_val, dtype=float)
-        dXs[L] += sv[:, None] * c.w[None, :]
+        np.multiply(sv[:, None], c.w[None, :], out=dXs[L])
         dw += sv @ c.Xs[L]
         dbout += sv.sum()
+    else:
+        dXs[L].fill(0.0)
 
     for h in range(L - 1, -1, -1):
-        dz_h = dz[h] + c.sz[h] * dXs[h + 1]
+        if seed_grad is None:
+            dz_h = np.multiply(c.sz[h], dXs[h + 1], out=dz[h])
+        else:
+            dz_h = dz[h]
+            dz_h += np.multiply(c.sz[h], dXs[h + 1], out=t1)
         dA[h] += dz_h.T @ c.Xs[h]
-        dXs[h] += dz_h @ c.A[h]
+        if h:
+            np.matmul(dz_h, c.A[h], out=dXs[h])
+        else:
+            dX = dz_h @ c.A[0]
         if scatter is not None:
             dz_h = scatter @ dz_h
         dWxy[h] = dz_h.T @ c.Ys[h + 1]
@@ -327,7 +407,7 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
     else:
         dtheta["wout"] = dw
     dtheta["bout"] = np.array([dbout])
-    return dtheta, dXs[0]
+    return dtheta, dX
 
 
 def flatten(params):

@@ -283,7 +283,7 @@ def invariant_bases(C, Ns=()):
     once more to shed roundoff asymmetry.
     """
     w = c_workspace(C)
-    C, det, J, Cinv = w.C, w.det, w.J, w.Cinv
+    C, J, Cinv = w.C, w.J, w.Cinv
     shp = C.shape[:-2]
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
     eye = np.broadcast_to(EYE3, shp + (3, 3))
@@ -292,9 +292,20 @@ def invariant_bases(C, Ns=()):
     out[..., 1, :, :] = I1[..., None, None] * eye - C
     out[..., 2, :, :] = 0.5 * J[..., None, None] * Cinv
     out[..., 3, :, :] = -J[..., None, None] * Cinv
+    return anisotropic_bases(w, Ns, out)
+
+
+def anisotropic_bases(C, Ns, out):
+    """Write B5, B6[, B7, B8] of invariant_bases into slots 4 on of out; returns out.
+
+    out is an (..., 4 + 2 len(Ns), 3, 3) stack; its four isotropic slots
+    are left as they are, so a caller holding C fixed computes them once
+    and refreshes only the bases that depend on Ns.
+    """
+    w = c_workspace(C)
     for k, N in enumerate(Ns):
         out[..., 4 + 2 * k, :, :] = N
-        out[..., 5 + 2 * k, :, :] = _aniso_cof_basis(Cinv, det, N)
+        out[..., 5 + 2 * k, :, :] = _aniso_cof_basis(w.Cinv, w.det, N)
     return out
 
 

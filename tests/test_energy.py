@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisoforge import energy, picnn, tensor_core as tc
+from anisoforge import energy, picnn, training, tensor_core as tc
 from util import rand_spd, rand_rotation, fd_grad_wrt_C, rel_err, default_structure_tensors
 
 MODES = ("polyconvex", "nonpoly_linearC", "unconstrained")
@@ -374,6 +376,50 @@ def test_perfect_fit_has_zero_stress_gradient():
     assert np.max(np.abs(picnn.flatten_grads(m.net, got.dnet))) < 1e-13
     assert np.max(np.abs(got.dalpha_bar)) < 1e-13
     assert abs(got.dphi) < 1e-13
+
+
+def loss_gradient_arrays(out):
+    return [np.asarray(out.loss), out.dalpha_bar, np.asarray(out.dphi), out.dp_raw, out.S_hat,
+            *(out.dnet[k] for k in sorted(out.dnet))]
+
+
+def test_reused_workspace_allocates_no_batch_arrays():
+    """A training epoch on a reused workspace writes the network's x path and
+    the basis stack into the workspace's buffers: after two warm-up calls one
+    call allocates under 1 MB transiently (5.5 MB when every batch-sized
+    array was fresh), gives the fresh workspace's result bit for bit, and
+    leaves the arrays returned by the call before it untouched."""
+    rng = np.random.default_rng(15)
+    m = training.model_for_discovery(3, width_x=24, width_y=16, depth=3, seed=4)
+    other = m.copy()  # the warm-ups and the last call see other weights and orientation
+    other.aniso.phi += 0.3
+    other.aniso.alpha_bar += 0.5
+    for v in other.net.weights.values():
+        v *= 1.1
+    C = rand_spd(rng, 900, spread=0.25)
+    D = rng.uniform(1.0, 5.0, (9, 3))[np.arange(900) % 9]
+    S_true = energy.stress(training.model_for_discovery(3, seed=5), C, D)
+    ws = energy.make_workspace(m, C, D, S_true)
+    for _ in range(2):
+        energy.loss_and_param_gradients(other, ws)
+    cache = ws.cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = energy.loss_and_param_gradients(m, ws, want_stress=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ws.cache is cache
+    assert peak < 1e6, f"{peak / 1e6:.2f} MB transient"
+
+    fresh = energy.loss_and_param_gradients(m, energy.make_workspace(m, C, D, S_true),
+                                            want_stress=True)
+    got = loss_gradient_arrays(out)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, loss_gradient_arrays(fresh)))
+    kept = [a.copy() for a in got]
+    energy.loss_and_param_gradients(other, ws, want_stress=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, kept))
 
 
 def test_workspace_validation():

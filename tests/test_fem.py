@@ -243,6 +243,20 @@ def test_bc_validation():
             fem.solve_displacement(mesh, model, [2.0, 3.0], [0, 1], [0.0, bad])
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol": 0.0}, "tolerance must be finite and positive"),
+    ({"tol": np.nan}, "tolerance must be finite and positive"),
+    ({"n_steps": 0}, "n_steps must be at least 1"),
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+])
+def test_solver_settings_validation(kwargs, match):
+    mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+    bc_dofs = np.arange(mesh.n_dof)
+    with pytest.raises(ValueError, match=match):
+        fem.solve_displacement(mesh, tiny_model("iso"), [2.0, 3.0], bc_dofs,
+                               np.zeros(mesh.n_dof), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # sparse stiffness and the banded solve
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisoforge import picnn
 from util import fd_jacobian, rel_err
@@ -213,3 +214,91 @@ def test_flatten_round_trip():
     q = unflatten(vec)
     for k in p.weights:
         assert np.array_equal(p.weights[k], q.weights[k])
+
+
+# ---------------------------------------------------------------------------
+# buffers owned by the cache
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def old_softplus_sigmoid(z):
+    """The formula before softplus_sigmoid wrote into buffers."""
+    e = np.exp(-np.abs(z))
+    sp = np.log1p(e) + np.maximum(z, 0.0)
+    sig = 1.0 / (1.0 + e)
+    neg = z < 0
+    sig[neg] = 1.0 - sig[neg]
+    return sp, sig
+
+
+def test_softplus_sigmoid_is_bitwise_the_old_formula():
+    edge = np.array([800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0, 37.0, -37.0, 745.0, -746.0])
+    z = np.concatenate([edge, 30.0 * np.random.default_rng(13).standard_normal(5000)])
+    sp_ref, sig_ref = old_softplus_sigmoid(z)
+    sp, sig = picnn.softplus_sigmoid(z)
+    assert same_bits(sp, sp_ref) and same_bits(sig, sig_ref)
+    bufs = np.full_like(z, np.nan), np.full_like(z, np.nan)
+    out = picnn.softplus_sigmoid(z, *bufs)
+    assert out[0] is bufs[0] and out[1] is bufs[1]
+    assert same_bits(bufs[0], sp_ref) and same_bits(bufs[1], sig_ref)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_reused_cache_matches_fresh_calls(grouped):
+    """value_and_grad, hess_inputs and backprop on a cache passed back as out
+    equal fresh calls bit for bit, across changes of the weights, the group
+    and the batch size; backprop's outputs never alias the reused buffers."""
+    rng = np.random.default_rng(14)
+    cache = prev = None
+    for k, n in enumerate((7, 7, 4, 4, 7)):
+        p = small_net(constrained=k % 2 == 0, seed=k)
+        X, Y = rand_inputs(rng, n)
+        group = None
+        if grouped:
+            Y, group = Y[:3], rng.integers(0, 3, n)
+        sv, sg = rng.standard_normal(n), rng.standard_normal((n, 8))
+        psi, g, reused = picnn.value_and_grad(p, X, Y, return_cache=True, group=group, out=cache)
+        assert (reused is cache) == (cache is not None and cache.shape[0] == n)
+        psi0, g0 = picnn.value_and_grad(p, X, Y, group=group)
+        assert same_bits(psi, psi0) and same_bits(g, g0)
+        assert same_bits(picnn.hess_inputs(p, X, Y, cache=reused, group=group),
+                         picnn.hess_inputs(p, X, Y, group=group))
+        d, dX = picnn.backprop(p, X, Y, sv, sg, cache=reused, group=group)
+        d0, dX0 = picnn.backprop(p, X, Y, sv, sg, group=group)
+        assert same_bits(dX, dX0)
+        assert d.keys() == d0.keys() and all(same_bits(d[key], d0[key]) for key in d)
+        if prev is not None:
+            (d_prev, dX_prev), copies = prev
+            assert same_bits(dX_prev, copies[1])
+            assert all(same_bits(d_prev[key], copies[0][key]) for key in d_prev)
+        prev = (d, dX), ({key: v.copy() for key, v in d.items()}, dX.copy())
+        cache = reused
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    depth=st.integers(1, 4),
+    width_x=st.integers(1, 12),
+    width_y=st.integers(1, 8),
+    n_design=st.integers(1, 3),
+    n_inv=st.sampled_from((4, 6, 8)),
+    seed=st.integers(0, 2**16),
+)
+def test_constrained_network_is_monotone_and_convex(depth, width_x, width_y, n_design, n_inv, seed):
+    """In constrained mode d psi / dI >= 0 and the input Hessian is positive
+    semidefinite, for any architecture, weights, designs and inputs."""
+    rng = np.random.default_rng(seed)
+    p = picnn.init_params(n_inv, n_design, width_x=width_x, width_y=width_y, depth=depth,
+                          constrained=True, seed=seed)
+    for name in p.weights:  # move every weight off its initialization range
+        p.weights[name] = p.weights[name] + rng.standard_normal(p.weights[name].shape)
+    X = rng.uniform(-5.0, 5.0, (16, n_inv))
+    Y = rng.uniform(-5.0, 5.0, (16, n_design))
+    _, g = picnn.value_and_grad(p, X, Y)
+    assert np.min(g) >= -1e-12
+    H = picnn.hess_inputs(p, X, Y)
+    assert np.min(np.linalg.eigvalsh(H)) >= -1e-9 * np.max(np.abs(H))
