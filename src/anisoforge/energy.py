@@ -39,18 +39,16 @@ The anisotropic invariants are linear in N, so an activity a_i acts as the
 tensor a_i N_i (see tensor_core). The kernels see the unit tensors Ns; only
 this module applies a_i: the column scale (1, 1, 1, 1, a1, a1, a2, a2) and o.
 
-All of these are views of one evaluation, which takes two inputs:
-
-* a C-workspace (tc.CWorkspace: C, cof, det, J, C^-1), built once per set
-  of C and read by the invariant, basis and curvature kernels; callers that
-  hold C fixed (inversion, the training Workspace) build it once;
-* the designs as (uD, group): the unique design rows and the sample -> row
-  index. A single design row is shared by every sample without np.unique.
-
-stress_per_design evaluates G candidate designs over the same B metrics as
-one such evaluation: the C-workspace tiled G times, uD the G designs and
-group = repeat(arange(G), B). A structure override may then hold one
-tensor per design, which the kernels take per sample row.
+All of these are views of one evaluation of a Workspace and design rows
+uD. The Workspace holds what stays fixed across calls on one set of B
+samples: their C-workspace (tc.CWorkspace: C, cof, det, J, C^-1), the
+sample -> design-row index group, a basis stack whose isotropic slots are
+computed once, and the network cache. One-shot psi, stress, tangent and
+normalization_coefficients build a throwaway one; make_workspace adds the
+training data; design inversion holds one tiled_workspace per candidate
+count (C repeated per design, group = repeat(arange(G), B)) and passes it
+to stress_per_design every generation, where a structure override may
+hold one tensor per design.
 
 The sample rows I(C) and one reference row Iref per design go through a
 single network call whose design path runs once per design. psi, stress,
@@ -199,34 +197,31 @@ def new_model(
 
 
 def _resolve_structure(model, structure=None, n_designs=None):
-    """(Ns, alphas): the active unit structure tensors (or the checked override) and activities.
+    """The active unit structure tensors: the model's, or the checked override.
 
     With n_designs, an override may hold an (n_designs, 3, 3) stack per tensor.
     """
     k = N_DIRECTIONS[model.config.aniso_class]
     if k == 0:
-        return (), ()
-    Ns = model.aniso.structure() if structure is None else [
-        _check_structure(structure[i], n_designs) for i in range(k)]
-    return tuple(Ns[:k]), model.aniso.alphas()[:k]
+        return ()
+    if structure is None:
+        return model.aniso.structure()[:k]
+    return tuple(_check_structure(structure[i], n_designs) for i in range(k))
 
 
 def _check_structure(N, n_designs=None):
     """N as a float array; raises unless it is a finite, symmetric (3, 3) tensor of unit trace.
 
-    With n_designs, N may also be a stack of n_designs such tensors, each
-    checked. The reference invariants assume tr N = 1, so any other override
-    would leave a stress at C = I.
+    With n_designs, N may also be a stack of n_designs such tensors, all
+    checked at once. The reference invariants assume tr N = 1, so any other
+    override would leave a stress at C = I.
     """
     N = np.asarray(N, dtype=float)
-    if n_designs is not None and N.shape == (n_designs, 3, 3):
-        for Ng in N:
-            _check_structure(Ng)
-        return N
-    if N.shape == (3, 3):
-        (a, b, c), (d, e, f), (g, h, i) = N.tolist()
+    if N.shape == (3, 3) or (n_designs is not None and N.shape == (n_designs, 3, 3)):
         # each entry enters one of these terms once, so a NaN or inf entry fails its bound
-        if all(abs(x) <= 1e-10 for x in (b - d, c - g, f - h, a + e + i - 1.0)):
+        dev = (N[..., 0, 1] - N[..., 1, 0], N[..., 0, 2] - N[..., 2, 0], N[..., 1, 2] - N[..., 2, 1],
+               N[..., 0, 0] + N[..., 1, 1] + N[..., 2, 2] - 1.0)
+        if np.all(np.abs(dev) <= 1e-10):
             return N
     raise ValueError("a structure tensor must be a finite, symmetric (3, 3) array with unit trace")
 
@@ -239,7 +234,7 @@ def extrapolating(model, D):
     return np.any((D < lo - 1e-12) | (D > hi + 1e-12), axis=1)
 
 
-def _check_design(model, D):
+def _check_design(model, D, stacklevel=4):
     D = np.atleast_2d(np.asarray(D, dtype=float))
     if not np.all(np.isfinite(D)):
         raise ValueError("design parameters contain non-finite entries")
@@ -247,7 +242,7 @@ def _check_design(model, D):
         warnings.warn(
             "design parameters outside the declared training ranges; "
             "the surrogate is extrapolating",
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
     return D
 
@@ -297,42 +292,33 @@ def _coefficient_corrections(g_ref, Ns, alphas):
 
 
 class _Evaluation:
-    """The energy's forward pass over a C-workspace and designs (uD, group).
+    """The energy's forward pass over a Workspace and its design rows uD.
 
-    The invariants and bases are taken of the unit structure tensors Ns and
-    scaled by (1, 1, 1, 1, a1, a1, a2, a2) where they meet the network. The sample
-    rows and one reference row per design go through a single network call
-    whose design path runs once per design; psi, S, CC and the training
-    loss are read off this one evaluation.
-
-    With per_design, a structure override may hold one tensor per design
-    (a (G, 3, 3) stack); the sample rows then take the tensor of their design.
-
-    A training Workspace passed as ws lends its row index, basis stack and
-    network cache (see Workspace); cw, uD and group are then its own.
+    Ns are the active unit structure tensors, each (3, 3) or a (G, 3, 3)
+    stack whose tensor g the samples of design g take. The invariants and
+    bases are taken of Ns and scaled by (1, 1, 1, 1, a1, a1, a2, a2) where
+    they meet the network. The sample rows and one reference row per design
+    go through a single network call whose design path runs once per
+    design; psi, S, CC and the training loss are read off this one
+    evaluation, which rewrites the workspace's buffers.
     """
 
-    def __init__(self, model, cw, uD, group, structure=None, per_design=False, ws=None):
+    def __init__(self, model, ws, uD, Ns):
         cfg = model.config
         n = cfg.n_active
-        self.model, self.cw, self.uD, self.group = model, cw, uD, group
-        self.Ns, self.alphas = Ns, alphas = _resolve_structure(
-            model, structure, uD.shape[0] if per_design else None)
-        self.row_Ns = tuple(N if N.ndim == 2 else N[group] for N in Ns)
+        B, G = ws.C.shape[0], uD.shape[0]
+        if ws.rows.size != B + G:
+            raise ValueError(f"the workspace evaluates {ws.rows.size - B} designs, not {G}")
+        self.model, self.ws, self.uD, self.group, self.Ns = model, ws, uD, ws.group, Ns
+        self.alphas = alphas = model.aniso.alphas()[:len(Ns)] if Ns else ()
+        self.row_Ns = tuple(N if N.ndim == 2 else N[ws.group] for N in Ns)
         self.scale = np.repeat((1.0, 1.0) + alphas, 2)
         self.Iref = tc.reference_invariants(Ns) * self.scale
-        self.Iu = tc.invariants(cw, self.row_Ns)
-        B, G = self.Iu.shape[0], uD.shape[0]
-        if ws is None:
-            self.Bu = tc.invariant_bases(cw, self.row_Ns)
-            self.rows = np.concatenate([group, np.arange(G)])
-        else:
-            self.Bu, self.rows = ws.invariant_bases(self.row_Ns), ws.rows
+        self.Iu = tc.invariants(ws, self.row_Ns)
+        self.Bu = ws.invariant_bases(self.row_Ns)
         self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
-        psi, g, self.cache = picnn.value_and_grad(model.net, self.X, uD, return_cache=True,
-                                                  group=self.rows, out=None if ws is None else ws.cache)
-        if ws is not None:
-            ws.cache = self.cache
+        psi, g, ws.cache = picnn.value_and_grad(model.net, self.X, uD, return_cache=True,
+                                                group=ws.rows, out=ws.cache)
         self.psi_net, self.g = psi[:B], g[:B]
         g_ref = g[B:]
         if cfg.mode == "nonpoly_linearC":
@@ -347,17 +333,17 @@ class _Evaluation:
     def coefficients(self, with_sn=True):
         """dPsi/dI per sample row: network, growth and (with_sn) coefficient-form terms."""
         c = self.g.copy()
-        c[:, 2] += growth_coefficient(self.cw.J, self.model.config.gamma)
+        c[:, 2] += growth_coefficient(self.ws.J, self.model.config.gamma)
         if with_sn and self.nc.c_sn is not None:
             c += self.nc.c_sn[self.group]
         return c
 
     def psi(self):
-        J = self.cw.J
+        J = self.ws.J
         out = self.psi_net + self.model.config.gamma * (J + 1.0 / J - 2.0) ** 2
         out -= self.nc.psi_ref[self.group]
         if self.nc.T_ref is not None:
-            out -= np.einsum("bij,bij->b", self.nc.T_ref[self.group], self.cw.C - tc.EYE3)
+            out -= np.einsum("bij,bij->b", self.nc.T_ref[self.group], self.ws.C - tc.EYE3)
         else:
             out += np.einsum("bi,bi->b", self.nc.c_sn[self.group], self.X[: J.size] - self.Iref)
         return out
@@ -373,21 +359,21 @@ class _Evaluation:
     def tangent(self, with_sn=True):
         """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
         B, n = self.Iu.shape
-        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=self.cache,
-                              group=self.rows)[:B]
-        H[:, 2, 2] += growth_curvature(self.cw.J, self.model.config.gamma)
+        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=self.ws.cache,
+                              group=self.ws.rows)[:B]
+        H[:, 2, 2] += growth_curvature(self.ws.J, self.model.config.gamma)
         B6 = tc.sym_to_6(self.Bu) * self.scale[:, None]
         M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
-        M += tc.curvature_66(self.cw, self.coefficients(with_sn) * self.scale, self.row_Ns)
+        M += tc.curvature_66(self.ws, self.coefficients(with_sn) * self.scale, self.row_Ns)
         M *= 4.0
         return M
 
 
-def _evaluate(model, C, D, structure=None, check=False, per_design=False):
-    """(_Evaluation, single) for C (a (3, 3), (B, 3, 3) array or a CWorkspace) and D.
+def _evaluate(model, C, D, structure=None, check=False):
+    """(_Evaluation, single) of a one-shot call, on a throwaway Workspace.
 
-    per_design evaluates every row of D over all of C, on the C-workspace
-    tiled once per design.
+    C is a (3, 3) or (B, 3, 3) array or a CWorkspace; D holds one design
+    row per C or a single row shared by all of them.
     """
     if isinstance(C, tc.CWorkspace):
         cw, single = C, False
@@ -397,22 +383,16 @@ def _evaluate(model, C, D, structure=None, check=False, per_design=False):
         if check:
             tc.check_metric(C)
         cw = tc.c_workspace(C.reshape(-1, 3, 3))
-    D = _check_design(model, D)
-    if per_design:
-        G, B = D.shape[0], cw.C.shape[0]
-        cw = tc.CWorkspace(*(np.tile(a, (G,) + (1,) * (a.ndim - 1))
-                             for a in (cw.C, cw.cof, cw.det, cw.J, cw.Cinv)))
-        uD, group = D, np.repeat(np.arange(G), B)
-    else:
-        uD, group = _designs(D, cw.C.shape[0])
-    return _Evaluation(model, cw, uD, group, structure, per_design), single
+    uD, group = _designs(_check_design(model, D), cw.C.shape[0])
+    return _Evaluation(model, _workspace(cw, group, uD.shape[0]), uD,
+                       _resolve_structure(model, structure)), single
 
 
 def normalization_coefficients(model, D, structure=None):
     """Stress-normalization data for design rows D (shape (G, m) or (m,))."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    no_samples = tc.c_workspace(np.empty((0, 3, 3)))
-    return _Evaluation(model, no_samples, D, np.empty(0, dtype=np.intp), structure).nc
+    no_samples = _workspace(tc.c_workspace(np.empty((0, 3, 3))), np.empty(0, dtype=np.intp), len(D))
+    return _Evaluation(model, no_samples, D, _resolve_structure(model, structure)).nc
 
 
 def psi(model, C, D, structure=None, check=False):
@@ -436,12 +416,16 @@ def stress(model, C, D, structure=None, check=False):
 def stress_per_design(model, C, D, structure=None):
     """Stresses of each of G design rows D (G, m) over the same B metrics, (G, B, 3, 3).
 
-    C is a (B, 3, 3) array or its CWorkspace. structure is as for stress, or
-    holds one (G, 3, 3) stack per tensor, one tensor per design. All G x B
-    rows go through one evaluation whose design path runs once per design.
+    C is a (B, 3, 3) array, its CWorkspace, or a Workspace from
+    tiled_workspace(C, G), which a caller evaluating G designs at a time
+    holds across calls. structure is as for stress, or holds one (G, 3, 3)
+    stack per tensor, one tensor per design. All G x B rows go through one
+    evaluation whose design path runs once per design.
     """
-    ev, _ = _evaluate(model, C, D, structure, per_design=True)
-    return ev.stress().reshape(ev.uD.shape[0], -1, 3, 3)
+    D = _check_design(model, D, stacklevel=3)
+    ws = C if isinstance(C, Workspace) else tiled_workspace(C, D.shape[0])
+    ev = _Evaluation(model, ws, D, _resolve_structure(model, structure, D.shape[0]))
+    return ev.stress().reshape(D.shape[0], -1, 3, 3)
 
 
 def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
@@ -474,45 +458,56 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
 
 @dataclass
 class Workspace(tc.CWorkspace):
-    """Per-dataset constants and buffers reused across training epochs.
+    """The input of every evaluation: what stays fixed across calls on B samples.
 
-    Constants: the C-workspace of the B samples, their designs as (uD,
-    group) with G design rows, the target stresses, optional (3, 3)
-    per-component residual weights, the (B + G) network row index ``rows``
-    (the samples, then one reference row per design) and ``scatter``, the
-    (G, B) matrix that sums sample rows per design.
+    Constants: the C-workspace of the samples, ``group``, each sample's
+    design row, and ``rows``, the (B + G) network row index (the samples,
+    then one reference row per design). make_workspace adds the training
+    designs uD, target stresses, optional (3, 3) per-component residual
+    weights and ``scatter``, the (G, B) matrix that sums rows per design.
 
-    Buffers, owned by the workspace and overwritten by each
-    loss_and_param_gradients call: ``cache``, the picnn cache whose buffers
-    hold the network's x path, and ``Bu``, the (B, n, 3, 3) basis stack,
+    Buffers, overwritten by each evaluation: ``cache``, the picnn cache
+    holding the network's x path, and ``Bu``, the (B, n, 3, 3) basis stack,
     whose four isotropic slots are computed once from C and whose
-    anisotropic slots are rewritten for the current orientation. No array a
-    call returns (LossGradients, S_hat) aliases either of them.
+    anisotropic slots are rewritten for the current structure tensors. No
+    array a public function returns aliases either.
     """
 
-    uD: np.ndarray
     group: np.ndarray
-    S_true: np.ndarray
+    rows: np.ndarray
+    uD: np.ndarray | None = None
+    S_true: np.ndarray | None = None
     weight: np.ndarray | None = None
-    rows: np.ndarray = field(init=False)
-    scatter: object = field(init=False)
-    cache: object = field(init=False, default=None)
-    Bu: np.ndarray | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        G = self.uD.shape[0]
-        self.rows = np.concatenate([self.group, np.arange(G)])
-        self.scatter = picnn.group_scatter(self.group, G)
+    scatter: object = None
+    cache: object = None
+    Bu: np.ndarray | None = None
 
     def invariant_bases(self, Ns):
         """tc.invariant_bases of the samples for the active tensors Ns, in the Bu buffer."""
-        if self.Bu is None or self.Bu.shape[1] != 4 + 2 * len(Ns):
-            self.Bu = tc.invariant_bases(self, Ns)
-            return self.Bu
-        return tc.anisotropic_bases(self, Ns, self.Bu)
+        fresh = self.Bu is None or self.Bu.shape[1] != 4 + 2 * len(Ns)
+        self.Bu = tc.invariant_bases(self, Ns) if fresh else tc.anisotropic_bases(self, Ns, self.Bu)
+        return self.Bu
+
+
+def _workspace(cw, group, n_designs, **data):
+    """Workspace over the C-workspace cw whose samples take design rows group of n_designs."""
+    return Workspace(cw.C, cw.cof, cw.det, cw.J, cw.Cinv, group,
+                     np.concatenate([group, np.arange(n_designs)]), **data)
+
+
+def tiled_workspace(C, n_designs):
+    """Workspace for stress_per_design: the B metrics of C once per design, design-major.
+
+    C is a (B, 3, 3) array or its CWorkspace, whose cofactors the tiling reuses.
+    """
+    cw = tc.c_workspace(C if isinstance(C, tc.CWorkspace) else np.reshape(C, (-1, 3, 3)))
+    tiled = tc.CWorkspace(*(np.tile(a, (n_designs,) + (1,) * (a.ndim - 1))
+                            for a in (cw.C, cw.cof, cw.det, cw.J, cw.Cinv)))
+    return _workspace(tiled, np.repeat(np.arange(n_designs), cw.C.shape[0]), n_designs)
 
 
 def make_workspace(model, C, D, S_true, component_weights=None):
+    """Training Workspace of the samples (C, D) and their target stresses S_true."""
     C = np.asarray(C, dtype=float)
     S_true = np.asarray(S_true, dtype=float)
     if C.size == 0:
@@ -525,8 +520,9 @@ def make_workspace(model, C, D, S_true, component_weights=None):
         if component_weights.shape != (3, 3):
             raise ValueError("component_weights must be a (3, 3) array")
     uD, group = _designs(np.atleast_2d(np.asarray(D, dtype=float)), C.shape[0])
-    cw = tc.c_workspace(C)
-    return Workspace(cw.C, cw.cof, cw.det, cw.J, cw.Cinv, uD, group, S_true, component_weights)
+    G = uD.shape[0]
+    return _workspace(tc.c_workspace(C), group, G, uD=uD, S_true=S_true, weight=component_weights,
+                      scatter=picnn.group_scatter(group, G))
 
 
 @dataclass
@@ -553,7 +549,7 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     B = ws.C.shape[0]
     G = ws.uD.shape[0]
     aniso = model.aniso
-    ev = _Evaluation(model, ws, ws.uD, ws.group, ws=ws)
+    ev = _Evaluation(model, ws, ws.uD, _resolve_structure(model))
     c = ev.coefficients()
     S_hat = ev.stress()
 
@@ -583,7 +579,7 @@ def loss_and_param_gradients(model, ws, want_stress=False):
             seed_ref[:, k + 1] = U[:, k] - 2.0 * t * u3
 
     dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
-                              cache=ev.cache, group=ev.rows)
+                              cache=ws.cache, group=ws.rows)
 
     dalpha_bar = dphi = dp_raw = None
     if ev.Ns and (aniso.trainable_alpha or aniso.trainable_orientation):

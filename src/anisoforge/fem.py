@@ -549,16 +549,7 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
     best, summaries, traces, _ = inverse._multistart(minimize, [start() for _ in range(restarts)])
     if not np.isfinite(best.fun):
         raise RuntimeError("every restart failed to produce a converged solve")
-    N1, N2, R = tc.structure_tensors(best.x[0], best.x[1:4])
-    return OrientationFit(
-        float(best.x[0]),
-        best.x[1:4] / np.linalg.norm(best.x[1:4]),
-        R[:, 0].copy(),
-        R[:, 1].copy(),
-        best.fun,
-        summaries,
-        traces,
-    )
+    return OrientationFit(*inverse._orientation_readout(best.x), best.fun, summaries, traces)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,23 @@ design inputs are not exposed, so inversion runs on function values only:
 a covariance-matrix-adaptation evolution strategy (CMA-ES) as the default
 global method and Nelder-Mead for cheap local polishing. Both handle box
 bounds by repairing samples onto the box and penalizing the repair
-distance, and both treat non-finite objective values as +inf.
+distance, treat non-finite objective values as +inf, and report the best
+point on the box with f there.
 
 The candidates of one CMA-ES generation are independent, so cma_es can
 hand a batched objective the whole population at once; invert_design
 evaluates each generation as one surrogate call over all candidates.
 Nelder-Mead is sequential and evaluates one point at a time.
+
+invert_design factors C once and holds one energy.tiled_workspace per
+candidate count for all its generations; a generation builds its
+candidates' structure tensors in one batched call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,15 +46,18 @@ def _per_row(f):
 
 
 def _repair_and_penalize(f, bounds):
-    """Wrap a batched f, (k, n) -> (k,): each row is evaluated at its clamped point plus a
-    scaled repair penalty (0 on unbounded axes); non-finite values become inf."""
+    """Wrap a batched f, (k, n) -> ((k,), (k,)): f at each row's clamped point plus a scaled
+    repair penalty (0 on unbounded axes), which the optimizer ranks, and f there alone.
+    Non-finite values become inf."""
     lo, hi = bounds[:, 0], bounds[:, 1]
     width = np.maximum(hi - lo, 1e-12)
 
     def wrapped(X):
         Xc = np.clip(X, lo, hi)
         v = np.asarray(f(Xc), dtype=float)
-        return np.where(np.isfinite(v), v + 1e3 * np.sum(((X - Xc) / width) ** 2, axis=1), np.inf)
+        ok = np.isfinite(v)
+        return (np.where(ok, v + 1e3 * np.sum(((X - Xc) / width) ** 2, axis=1), np.inf),
+                np.where(ok, v, np.inf))
 
     return wrapped
 
@@ -59,12 +68,12 @@ def _repair_and_penalize(f, bounds):
 
 @dataclass
 class OptimizeResult:
-    x: np.ndarray
-    fun: float
+    x: np.ndarray  # the best point, on the bounds
+    fun: float  # f(x)
     n_evals: int
     n_iters: int
     stop: str
-    history: list = field(default_factory=list)  # (evals, best f) per iteration
+    history: list = field(default_factory=list)  # (evals, best repaired objective) per iteration
 
 
 def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
@@ -107,7 +116,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     C = np.eye(n)
     p_sigma = np.zeros(n)
     p_c = np.zeros(n)
-    best_x, best_f = mean.copy(), np.inf
+    best_x, best_f, best_v = mean.copy(), np.inf, np.inf
     n_evals = 0
     history = []
     stop = "max_evals"
@@ -119,14 +128,14 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
         Z = rng.standard_normal((lam, n))
         Y = Z * d[None, :] @ B.T
         X = mean[None, :] + sigma * Y
-        fs = obj(X)
+        fs, vs = obj(X)
         n_evals += lam
         if it == 1 and not np.any(np.isfinite(fs)):
             raise RuntimeError("objective returned no finite values in the first generation")
 
         order = np.argsort(fs)
         if fs[order[0]] < best_f:
-            best_f = fs[order[0]]
+            best_f, best_v = fs[order[0]], vs[order[0]]
             best_x = np.clip(X[order[0]], bounds[:, 0], bounds[:, 1])
             last_improvement = it
         history.append((n_evals, best_f))
@@ -162,7 +171,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
             stop = "stagnation"
             break
 
-    return OptimizeResult(best_x, best_f, n_evals, len(history), stop, history)
+    return OptimizeResult(best_x, best_v, n_evals, len(history), stop, history)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +195,16 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
     repaired = _repair_and_penalize(_per_row(f), bounds)
 
     def obj(x):
-        return repaired(x[None])[0]
+        fx, vx = repaired(x[None])
+        return fx[0], vx[0]
 
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
 
     simplex = np.vstack([x0] + [x0 + step[i] * np.eye(n)[i] for i in range(n)])
     n_evals = min(n + 1, max_evals)
-    fs = np.full(n + 1, np.inf)
-    fs[:n_evals] = [obj(x) for x in simplex[:n_evals]]
+    # fs ranks the vertices (repaired objective), vs holds f at each vertex's clamped point
+    fs, vs = np.full(n + 1, np.inf), np.full(n + 1, np.inf)
+    fs[:n_evals], vs[:n_evals] = repaired(simplex[:n_evals])
     if not np.any(np.isfinite(fs)):
         raise RuntimeError("objective returned no finite values on the initial simplex")
     history = []
@@ -201,7 +212,7 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
 
     while n_evals < max_evals:
         order = np.argsort(fs)
-        simplex, fs = simplex[order], fs[order]
+        simplex, fs, vs = simplex[order], fs[order], vs[order]
         history.append((n_evals, fs[0]))
         if f_target is not None and fs[0] <= f_target:
             stop = "f_target"
@@ -213,30 +224,30 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
 
         centroid = simplex[:-1].mean(axis=0)
         xr = centroid + reflection * (centroid - simplex[-1])
-        fr = obj(xr)
+        fr, vr = obj(xr)
         n_evals += 1
         if fr < fs[0]:
             xe = centroid + expansion * (centroid - simplex[-1])
-            fe = obj(xe)
+            fe, ve = obj(xe)
             n_evals += 1
-            simplex[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+            simplex[-1], fs[-1], vs[-1] = (xe, fe, ve) if fe < fr else (xr, fr, vr)
         elif fr < fs[-2]:
-            simplex[-1], fs[-1] = xr, fr
+            simplex[-1], fs[-1], vs[-1] = xr, fr, vr
         else:
             inside = fr >= fs[-1]
             xc = centroid + contraction * ((simplex[-1] if inside else xr) - centroid)
-            fc = obj(xc)
+            fc, vc = obj(xc)
             n_evals += 1
             if fc < min(fr, fs[-1]):
-                simplex[-1], fs[-1] = xc, fc
+                simplex[-1], fs[-1], vs[-1] = xc, fc, vc
             else:
                 simplex[1:] = simplex[0] + shrink * (simplex[1:] - simplex[0])
-                fs[1:] = [obj(x) for x in simplex[1:]]
+                fs[1:], vs[1:] = repaired(simplex[1:])
                 n_evals += n
 
-    order = np.argsort(fs)
-    best = np.clip(simplex[order[0]], bounds[:, 0], bounds[:, 1])
-    return OptimizeResult(best, fs[order[0]], n_evals, len(history), stop, history)
+    best = np.argsort(fs)[0]
+    return OptimizeResult(np.clip(simplex[best], bounds[:, 0], bounds[:, 1]), vs[best], n_evals,
+                          len(history), stop, history)
 
 
 def fit_direction(N_target, x0=(1.0, 0.0, 0.0), tol=1e-12, max_evals=5000):
@@ -298,8 +309,9 @@ def stress_mismatch(model, C, S_obs, D, structure=None):
 
     D is one design (m,), giving a float, or G candidate designs (G, m),
     giving (G,) from one energy.stress_per_design call; structure may then
-    hold one (G, 3, 3) stack per tensor. C may be a tc.CWorkspace, which a
-    caller holding C fixed builds once.
+    hold one (G, 3, 3) stack per tensor. C may also be a tc.CWorkspace or an
+    energy.tiled_workspace for G designs, which a caller holding C fixed
+    builds once.
     """
     D = np.asarray(D, dtype=float)
     res = energy.stress_per_design(model, C, np.atleast_2d(D), structure=structure) - S_obs
@@ -309,6 +321,12 @@ def stress_mismatch(model, C, S_obs, D, structure=None):
 
 def _orientation_bounds():
     return np.array([[0.0, np.pi], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+
+
+def _orientation_readout(x):
+    """(phi, unit axis, n1, n2) of the axis-angle coordinates x = (phi, p_raw)."""
+    R = tc.structure_tensors(x[0], x[1:4])[2]
+    return float(x[0]), tc.unit_vector(x[1:4]), R[:, 0].copy(), R[:, 1].copy()
 
 
 def _multistart(minimize, starts, f_target=None):
@@ -369,37 +387,33 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
 
     failures = (ValueError, FloatingPointError, np.linalg.LinAlgError)
     n_extrapolated = 0
+    # one held workspace of C tiled per candidate count, for every generation of this call
+    workspace = functools.cache(lambda k: energy.tiled_workspace(cw, k))
+
+    def mismatch(X):
+        """Stress mismatch of the k candidate rows of X, (k,), from one surrogate call."""
+        nonlocal n_extrapolated
+        structure = tc.structure_tensors(X[:, m], X[:, m + 1 : m + 4])[:2] if fit_orientation else None
+        f = stress_mismatch(model, workspace(len(X)), S_obs, X[:, :m], structure=structure)
+        n_extrapolated += int(np.count_nonzero(energy.extrapolating(model, X[:, :m])))
+        return f
 
     def objective(X):
         """Stress mismatch of each candidate row of X, (k,); inf where a candidate fails."""
-        nonlocal n_extrapolated
-        f = np.full(len(X), np.inf)
-        ok, structure = np.ones(len(X), dtype=bool), None
-        if fit_orientation:
-            Ns = []
-            for i, x in enumerate(X):
-                try:
-                    Ns.append(tc.structure_tensors(x[m], x[m + 1 : m + 4])[:2])
-                except ValueError:  # a zero rotation axis
-                    ok[i] = False
-            if not Ns:
-                return f
-            structure = [np.array(stack) for stack in zip(*Ns)]
-        D = X[ok, :m]
-        n_extrapolated += int(np.count_nonzero(energy.extrapolating(model, D)))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "design parameters outside the declared training ranges")
             try:
-                f[ok] = stress_mismatch(model, cw, S_obs, D, structure=structure)
+                return mismatch(X)
             except failures:
-                # a faulty candidate fails the whole batch: evaluate each alone, so only it gets inf
-                for i, j in enumerate(np.flatnonzero(ok)):
-                    one = None if structure is None else [N[i : i + 1] for N in structure]
+                # a faulty candidate (a zero rotation axis, a non-finite design) fails the
+                # whole batch: evaluate each alone, so only it gets inf
+                f = np.full(len(X), np.inf)
+                for i in range(len(X)):
                     try:
-                        f[j] = stress_mismatch(model, cw, S_obs, D[i], structure=one)
+                        f[i] = mismatch(X[i : i + 1])[0]
                     except failures:
                         pass
-        return f
+                return f
 
     opts = dict(options or {})
     step = opts.pop("step", None)
@@ -423,14 +437,7 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
 
     orientation = None
     if fit_orientation:
-        phi, p_raw = best.x[m], best.x[m + 1 : m + 4]
-        N1, N2, R = tc.structure_tensors(phi, p_raw)
-        orientation = {
-            "phi": float(phi),
-            "axis": p_raw / np.linalg.norm(p_raw),
-            "n1": R[:, 0],
-            "n2": R[:, 1],
-        }
+        orientation = dict(zip(("phi", "axis", "n1", "n2"), _orientation_readout(best.x[m:])))
     return InversionResult(best.x[:m].copy(), best.fun, total_evals, summaries, orientation,
                            n_extrapolated)
 

@@ -159,33 +159,36 @@ def check_metric(C, name="C"):
 
 
 def cross_matrix(p):
-    """Cross-product matrix [p]_x with [p]_x v = p x v."""
+    """Cross-product matrix [p]_x with [p]_x v = p x v, for p of shape (..., 3)."""
     p = np.asarray(p, dtype=float)
-    return np.array(
-        [
-            [0.0, -p[2], p[1]],
-            [p[2], 0.0, -p[0]],
-            [-p[1], p[0], 0.0],
-        ]
-    )
+    P = np.zeros(p.shape[:-1] + (3, 3))
+    P[..., 0, 1], P[..., 0, 2] = -p[..., 2], p[..., 1]
+    P[..., 1, 0], P[..., 1, 2] = p[..., 2], -p[..., 0]
+    P[..., 2, 0], P[..., 2, 1] = -p[..., 1], p[..., 0]
+    return P
 
 
 def unit_vector(v):
-    """v / |v|; a zero or non-finite vector is rejected."""
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm) or norm < 1e-12:
+    """v / |v| for v of shape (..., 3); any zero or non-finite vector is rejected.
+
+    |v|^2 is one dot product per vector, as in np.linalg.norm of one vector.
+    """
+    v = np.asarray(v, dtype=float)
+    norm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    if not np.all(np.isfinite(norm) & (norm >= 1e-12)):
         raise ValueError("a direction or rotation axis must be a nonzero finite vector")
-    return np.asarray(v, dtype=float) / norm
+    return v / norm
 
 
 def rotation_from_axis_angle(phi, p):
-    """Rodrigues rotation about unit axis p by angle phi.
+    """Rodrigues rotation about unit axis p by angle phi; (...) and (..., 3) give (..., 3, 3).
 
     R = I + sin(phi) P + (1 - cos(phi)) P^2 with P = [p]_x, so that a
     quarter turn about e3 maps e1 -> e2 and e2 -> -e1. The axis is
     normalized defensively; a zero axis is rejected.
     """
     P = cross_matrix(unit_vector(p))
+    phi = np.asarray(phi, dtype=float)[..., None, None]
     return EYE3 + np.sin(phi) * P + (1.0 - np.cos(phi)) * (P @ P)
 
 
@@ -232,11 +235,12 @@ def structure_tensors(phi, p_raw):
 
     The (possibly unnormalized) axis p_raw is normalized, the rotation
     R(phi, p) is formed, and N_i = r_i r_i^T for r_i = R e_i, i = 1, 2.
-    Returns (N1, N2, R).
+    Returns (N1, N2, R). phi (...) and p_raw (..., 3) give (..., 3, 3)
+    stacks, each entry bitwise the call for that orientation alone.
     """
     R = rotation_from_axis_angle(phi, p_raw)
-    r1, r2 = R[:, 0], R[:, 1]
-    return np.outer(r1, r1), np.outer(r2, r2), R
+    r1, r2 = R[..., :, 0, None], R[..., :, 1, None]
+    return r1 * r1.swapaxes(-1, -2), r2 * r2.swapaxes(-1, -2), R
 
 
 def invariants(C, Ns=()):

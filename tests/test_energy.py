@@ -1,4 +1,6 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,71 @@ def test_checkpoint_round_trip(tmp_path):
     C, D = rand_batch(rng, 3, m)
     assert np.array_equal(energy.stress(m, C, D), energy.stress(m2, C, D))
 
+
+
+finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6))
+
+
+@st.composite
+def models(draw):
+    aniso_class = draw(st.sampled_from(CLASSES))
+    n_design = draw(st.integers(1, 4))
+    aniso = None
+    if aniso_class != "iso":
+        aniso = energy.AnisotropyState(
+            draw(st.none() | st.lists(finite, min_size=2, max_size=2).map(np.array)),
+            draw(finite),
+            np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+                          .filter(lambda p: np.linalg.norm(p) > 1e-3))),
+            draw(st.booleans()),
+            draw(st.booleans()),
+        )
+    lo = draw(st.lists(st.floats(0.5, 3.0), min_size=n_design, max_size=n_design))
+    d_bounds = draw(st.none() | st.just(np.column_stack([lo, np.array(lo) + 2.0])))
+    m = energy.new_model(n_design, mode=draw(st.sampled_from(MODES)), aniso_class=aniso_class,
+                         gamma=draw(st.floats(0.0, 10.0)), width_x=draw(st.integers(1, 6)),
+                         width_y=draw(st.integers(1, 6)), depth=draw(st.integers(1, 4)),
+                         seed=draw(st.integers(0, 2**32 - 1)), aniso=aniso, d_bounds=d_bounds)
+    m.meta = draw(st.dictionaries(st.text(max_size=6),
+                                  json_scalars | st.lists(json_scalars, max_size=3), max_size=4))
+    return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=models())
+def test_checkpoint_round_trip_property(m):
+    """save_model then load_model returns the same model: bitwise weights, anisotropy,
+    bounds and meta, and bitwise the same stresses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        energy.save_model(m, path)
+        m2 = energy.load_model(path)
+    assert m2.net.weights.keys() == m.net.weights.keys()
+    for k, w in m.net.weights.items():
+        assert m2.net.weights[k].tobytes() == w.tobytes()
+    assert vars(m2.config) == vars(m.config)
+    assert (m2.net.n_inv, m2.net.n_design, m2.net.width_x, m2.net.width_y, m2.net.depth,
+            m2.net.constrained) == (m.net.n_inv, m.net.n_design, m.net.width_x, m.net.width_y,
+                                    m.net.depth, m.net.constrained)
+    if m.aniso is None:
+        assert m2.aniso is None
+    else:
+        a, b = m.aniso, m2.aniso
+        assert (b.alpha_bar is None) == (a.alpha_bar is None)
+        if a.alpha_bar is not None:
+            assert b.alpha_bar.tobytes() == a.alpha_bar.tobytes()
+        assert b.p_raw.tobytes() == a.p_raw.tobytes()
+        assert (b.phi, b.trainable_alpha, b.trainable_orientation) == (
+            a.phi, a.trainable_alpha, a.trainable_orientation)
+    assert (m2.d_bounds is None) == (m.d_bounds is None)
+    if m.d_bounds is not None:
+        assert m2.d_bounds.tobytes() == m.d_bounds.tobytes()
+    assert m2.meta == m.meta
+    C = rand_spd(np.random.default_rng(11), 4)
+    D = np.full(m.net.n_design, 2.0) if m.d_bounds is None else m.d_bounds.mean(axis=1)
+    assert energy.stress(m2, C, D).tobytes() == energy.stress(m, C, D).tobytes()
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     p = tmp_path / "x.json"

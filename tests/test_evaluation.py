@@ -8,6 +8,7 @@ per constitutive call.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,83 @@ def test_batched_objective_fails_only_the_faulty_candidates(monkeypatch, aniso_c
             assert np.isinf(fs[6]) and np.all(np.isfinite(np.delete(fs, 6)))
             ok = np.delete(np.arange(9), 6)
             assert np.max(rel_errors(fs[ok], per_candidate_mismatch(m, C, S, X[ok]))) < 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("aniso_class", CLASSES)
+def test_held_tiled_workspace_matches_fresh_stress_per_design(mode, aniso_class):
+    """A workspace held across generations gives each generation the bits of a fresh call,
+    and a later generation leaves the stresses of an earlier one untouched."""
+    rng = np.random.default_rng(32)
+    m = model_for(mode, aniso_class)
+    C = rand_spd(rng, 8)
+    ws = energy.tiled_workspace(tc.c_workspace(C), 9)
+    kept = []
+    for _ in range(2):
+        X = population(rng, m.aniso is not None)
+        structure = None if m.aniso is None else tc.structure_tensors(X[:, 2], X[:, 3:6])[:2]
+        S = energy.stress_per_design(m, ws, X[:, :2], structure=structure)
+        assert S.tobytes() == energy.stress_per_design(m, C, X[:, :2], structure=structure).tobytes()
+        kept.append((S, S.copy()))
+    assert all(S.tobytes() == copy.tobytes() for S, copy in kept)
+    with pytest.raises(ValueError, match="evaluates 9 designs, not 8"):
+        energy.stress_per_design(m, ws, X[:8, :2])
+
+
+@pytest.mark.parametrize("free_orientation", [False, True])
+def test_inversion_objective_holds_one_workspace_per_candidate_count(monkeypatch, free_orientation):
+    """Over generations of the batched objective the bases of the fixed C are built once
+    per candidate count, and each generation gives the bits of a fresh stress_mismatch."""
+    rng = np.random.default_rng(33)
+    m = model_for("polyconvex", "ortho")
+    C = rand_spd(rng, 8)
+    S = energy.stress(m, C, np.array([2.0, 3.0]))
+    f = invert_design_objective(monkeypatch, m, C, S, free_orientation)
+    for k, builds in ((9, 1), (9, 0), (8, 1), (9, 0), (8, 0)):
+        X = population(rng, free_orientation, k)
+        structure = tc.structure_tensors(X[:, 2], X[:, 3:6])[:2] if free_orientation else None
+        ref = inverse.stress_mismatch(m, C, S, X[:, :2], structure=structure)
+        calls = []
+
+        def counted(*args, _inner=tc.invariant_bases):
+            calls.append(args)
+            return _inner(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tc, "invariant_bases", counted)
+            assert f(X).tobytes() == ref.tobytes()
+        assert len(calls) == builds
+
+
+def test_inversion_generation_writes_the_network_into_the_held_cache(monkeypatch):
+    """After two warm-up generations the network's x path goes into the held workspace's
+    cache: one generation (60 C, 9 candidates, 24/16/3 network) allocates under 0.5 MB
+    transiently, against 2.1 MB with a fresh workspace per generation."""
+    rng = np.random.default_rng(34)
+    m = energy.new_model(2, aniso_class="ortho", width_x=24, width_y=16, depth=3, seed=3)
+    C = rand_spd(rng, 60)
+    S = energy.stress(m, C, np.array([2.0, 3.0]))
+    held = []
+
+    def holding(*args, _inner=energy.tiled_workspace):
+        held.append(_inner(*args))
+        return held[-1]
+
+    monkeypatch.setattr(energy, "tiled_workspace", holding)
+    f = invert_design_objective(monkeypatch, m, C, S, True)
+    for _ in range(2):
+        f(population(rng, True))
+    X = population(rng, True)
+    cache = held[0].cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0].cache is cache
+    assert peak < 5e5, f"{peak / 1e6:.2f} MB transient"
 
 
 def test_call_counts_invert_orientation_objective(monkeypatch):

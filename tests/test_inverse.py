@@ -283,3 +283,17 @@ def test_invert_unknown_method(trained_like_model):
     model, C = trained_like_model
     with pytest.raises(ValueError, match="unknown method"):
         inverse.invert_design(model, C, np.zeros_like(C), method="gradient", restarts=1)
+
+
+def test_fun_is_the_objective_at_the_returned_point():
+    """With the minimum outside the box, x is clipped onto the box and fun is f(x) there,
+    not the repaired objective of the unclipped point the optimizer ranked best."""
+    def off_box(x):
+        return float(np.sum((x - np.array([2.0, -3.0])) ** 2))
+
+    bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    for res in (inverse.cma_es(off_box, np.zeros(2), 0.5, bounds=bounds, max_evals=600, seed=8),
+                inverse.nelder_mead(off_box, np.zeros(2), bounds=bounds, max_evals=600)):
+        assert np.all(np.abs(res.x) <= 1.0)
+        assert np.allclose(res.x, [1.0, -1.0], atol=1e-3)
+        assert res.fun == off_box(res.x)

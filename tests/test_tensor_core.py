@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisoforge import tensor_core as tc
 from util import rand_spd, rand_rotation, fd_grad_wrt_C, rel_err, default_structure_tensors
@@ -234,3 +235,32 @@ def test_rotation_from_direction_pair():
             tc.rotation_from_direction_pair(bad, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="nonzero finite"):
             tc.rotation_from_direction_pair([0.0, 1.0, 0.0], bad)
+
+
+orientations = st.lists(
+    st.tuples(st.floats(-7.0, 7.0),
+              st.tuples(*[st.floats(-1e3, 1e3)] * 3).filter(lambda p: np.linalg.norm(p) > 1e-6)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(batch=orientations)
+def test_batched_structure_tensors_match_one_call_per_orientation(batch):
+    """A stack of orientations gives, entry by entry, the bits of the call for that orientation."""
+    phi = np.array([o[0] for o in batch])
+    p = np.array([o[1] for o in batch])
+    stacks = tc.structure_tensors(phi, p)
+    assert [S.shape for S in stacks] == [(len(batch), 3, 3)] * 3
+    for i in range(len(batch)):
+        for S, one in zip(stacks, tc.structure_tensors(float(phi[i]), p[i])):
+            assert S[i].tobytes() == one.tobytes()
+
+
+def test_batched_structure_tensors_reject_a_zero_axis():
+    p = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 3))
+    phi = np.linspace(0.1, 2.0, 5)
+    tc.structure_tensors(phi, p)
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]):
+        p[2] = bad
+        with pytest.raises(ValueError, match="nonzero finite"):
+            tc.structure_tensors(phi, p)
