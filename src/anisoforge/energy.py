@@ -57,10 +57,16 @@ tc.curvature_66), normalization_coefficients and the fused reverse-mode
 gradient of the stress-fitting loss with respect to network weights,
 activity logits and orientation (built on picnn.backprop) all read that
 evaluation; every chain is finite-difference checked in the tests.
+
+The backward pass keeps one 3x3 adjoint G_i = dL/d(a_i N_i) per active
+tensor and reads the normalization's reference-row seeds off the transpose
+of the map the forward pass applies. The Rodrigues adjoint that carries
+a_i G_i to the orientation is tc.structure_tensors_vjp.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -90,8 +96,8 @@ class EnergyConfig:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.aniso_class not in CLASSES:
             raise ValueError(f"unknown class {self.aniso_class!r}, expected one of {CLASSES}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
 
     @property
     def n_active(self):
@@ -124,13 +130,7 @@ class AnisotropyState:
         return tc.structure_tensors(self.phi, self.p_raw)
 
     def copy(self):
-        return AnisotropyState(
-            None if self.alpha_bar is None else np.asarray(self.alpha_bar, dtype=float).copy(),
-            float(self.phi),
-            np.asarray(self.p_raw, dtype=float).copy(),
-            self.trainable_alpha,
-            self.trainable_orientation,
-        )
+        return copy.deepcopy(self)
 
     @staticmethod
     def from_directions(n1, n2, trainable=False):
@@ -159,13 +159,7 @@ class Model:
             raise ValueError("anisotropic classes require an AnisotropyState")
 
     def copy(self):
-        return Model(
-            self.net.copy(),
-            EnergyConfig(self.config.mode, self.config.aniso_class, self.config.gamma),
-            None if self.aniso is None else self.aniso.copy(),
-            None if self.d_bounds is None else self.d_bounds.copy(),
-            dict(self.meta),
-        )
+        return copy.deepcopy(self)
 
 
 def new_model(
@@ -540,107 +534,73 @@ def loss_and_param_gradients(model, ws, want_stress=False):
 
     Returns gradients with respect to the network weights and, where
     trainable, the activity logits alpha_bar and the orientation (phi,
-    p_raw). The orientation chain runs through the rotation columns
-    r_i = R e_i rather than the structure tensors, keeping the unit-norm
-    and orthogonality constraints exact.
+    p_raw). Each active tensor enters only as M_i = a_i N_i, so the chain
+    runs through one adjoint G_i = dL/dM_i: dL/da_i = G_i : N_i, and
+    dL/dN_i = a_i G_i goes to the orientation through
+    tc.structure_tensors_vjp, which keeps the unit-norm and orthogonality
+    constraints of the rotation columns exact.
     """
     cfg = model.config
     n = cfg.n_active
     B = ws.C.shape[0]
-    G = ws.uD.shape[0]
     aniso = model.aniso
-    ev = _Evaluation(model, ws, ws.uD, _resolve_structure(model))
-    c = ev.coefficients()
+    k = N_DIRECTIONS[cfg.aniso_class]
+    structure = aniso.structure() if k else ()
+    ev = _Evaluation(model, ws, ws.uD, structure[:k])
     S_hat = ev.stress()
 
     Rm = S_hat - ws.S_true
     wR = Rm if ws.weight is None else ws.weight**2 * Rm
     loss = float(np.vdot(wR, Rm)) / B
     dS = (2.0 / B) * wR
+    dS9 = dS.reshape(B, 9)
 
-    # v_i = 2 dS : Bu_i per sample; the sensitivity to c_i is u_i = scale_i v_i
-    v = 2.0 * (ev.Bu.reshape(B, n, 9) @ dS.reshape(B, 9, 1))[..., 0]
-    u = ev.scale * v
+    # the sensitivity to c_i is u_i = 2 scale_i dS : Bu_i per sample, U its sum per design
+    u = 2.0 * ev.scale * (ev.Bu.reshape(B, n, 9) @ dS9[:, :, None])[..., 0]
     U = ws.scatter @ u
 
-    # seeds for the reference rows, through the normalization terms
-    gb = ev.nc.g_ref
+    # reference-row seeds: the transpose of the map from g_ref to the normalization terms
     if cfg.mode == "nonpoly_linearC":
-        dT = ws.scatter @ dS.reshape(B, 9)
-        dT *= -2.0
+        dT = -2.0 * (ws.scatter @ dS9)
         seed_ref = dT @ ev.Bref.reshape(n, 9).T
     else:
-        u3 = U[:, 2]
-        seed_ref = np.zeros((G, n))
-        seed_ref[:, :4] = np.array([-2.0, -4.0, -1.0, 2.0]) * u3[:, None]
-        for k, N, a in zip((4, 6), ev.Ns, ev.alphas):
-            t = a * np.trace(N)
-            seed_ref[:, k] = U[:, k + 1] - 2.0 * t * u3
-            seed_ref[:, k + 1] = U[:, k] - 2.0 * t * u3
+        seed_ref = U @ _coefficient_corrections(np.eye(n), ev.Ns, ev.alphas).T
 
     dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
                               cache=ws.cache, group=ws.rows)
 
     dalpha_bar = dphi = dp_raw = None
-    if ev.Ns and (aniso.trainable_alpha or aniso.trainable_orientation):
-        dI, dIref = dX[:B], dX[B:]
-        Cinv = ws.Cinv
-        dSV = np.einsum("bij,bij->b", dS, Cinv)
-        VdSV = (Cinv @ dS @ Cinv).reshape(B, 9)
-        das = np.zeros(2)
-        dNs = [np.zeros((3, 3)), np.zeros((3, 3))]
-        for j, (k, N, a) in enumerate(zip((4, 6), ev.Ns, ev.alphas)):
-            kk = [k, k + 1]
-            # invariant inputs a tr(C N), a tr(cof(C) N); both reference entries equal a
-            da = np.sum(dI[:, kk] * ev.Iu[:, kk]) + np.sum(dIref[:, kk])
-            # bases a N and a Bcof(C, N): dL/dB = 2 c dS
-            da += c[:, k] @ v[:, k] + c[:, k + 1] @ v[:, k + 1]
-            dN = dI[:, k] @ ws.C.reshape(B, 9) + dI[:, k + 1] @ ws.cof.reshape(B, 9)
-            dN += 2.0 * c[:, k] @ dS.reshape(B, 9)
-            # d(dS : det [tr(VN) V - V N V])/dN = det [(dS:V) V - V dS V]
-            w = 2.0 * c[:, k + 1] * ws.det
-            dN += (w * dSV) @ Cinv.reshape(B, 9) - w @ VdSV
-            dN = a * dN.reshape(3, 3)
-            trN = np.trace(N)
-            if cfg.mode == "nonpoly_linearC":
-                # Tref = sum_i gb_i Bref_i with Bref_k = a N, Bref_k+1 = a (tr(N) I - N)
-                E = (gb[:, kk].T @ dT).reshape(2, 3, 3)
-                da += np.vdot(E[0], N) + np.vdot(E[1], trN * tc.EYE3 - N)
-                dN += a * (E[0] + np.trace(E[1]) * tc.EYE3 - E[1])
-            else:
-                # explicit (a tr N) dependence of the o coefficient: c3 = -2 o
-                wo = -2.0 * float(U[:, 2] @ (gb[:, k] + gb[:, k + 1]))
-                da += wo * trN
-                dN += wo * a * tc.EYE3
-            das[j], dNs[j] = da, dN
+    if k and (aniso.trainable_alpha or aniso.trainable_orientation):
+        # columns (tr(C M_i), tr(cof(C) M_i)) of each tensor; bases M_i and
+        # det [tr(V M_i) V - V M_i V] with V = C^-1, weighted by 2 c against dS
+        dI, dIref, c, gb = dX[:B, 4:], dX[B:, 4:], ev.coefficients()[:, 4:], ev.nc.g_ref[:, 4:]
+        V9 = ws.Cinv.reshape(B, 9)
+        w = 2.0 * c[:, 1::2] * ws.det[:, None]
+        G = dI[:, 0::2].T @ ws.C.reshape(B, 9) + dI[:, 1::2].T @ ws.cof.reshape(B, 9)
+        G += 2.0 * c[:, 0::2].T @ dS9
+        G += (w * np.einsum("bi,bi->b", dS9, V9)[:, None]).T @ V9
+        G -= w.T @ (ws.Cinv @ dS @ ws.Cinv).reshape(B, 9)
+        # the tr(M_i) terms: both reference invariants, and the normalization's
+        # o (coefficient form) or Bref = (M_i, tr(M_i) I - M_i) (linear-C form)
+        t = (dIref[:, 0::2] + dIref[:, 1::2]).sum(axis=0)
+        if cfg.mode == "nonpoly_linearC":
+            E = gb.T @ dT
+            G += E[0::2] - E[1::2]
+            t += E[1::2, ::4].sum(axis=1)
+        else:
+            t -= 2.0 * (U[:, 2] @ (gb[:, 0::2] + gb[:, 1::2]))
+        G[:, ::4] += t[:, None]
+        G = G.reshape(k, 3, 3)
         if aniso.trainable_alpha:
-            alphas = np.array(aniso.alphas())
-            dalpha_bar = das * alphas * (1.0 - alphas)
+            a = np.array(aniso.alphas())
+            dalpha_bar = np.zeros(2)
+            dalpha_bar[:k] = np.einsum("kij,kij->k", G, ev.Ns)
+            dalpha_bar *= a * (1.0 - a)
         if aniso.trainable_orientation:
-            dphi, dp_raw = _orientation_adjoints(aniso, aniso.structure()[2], *dNs)
+            dphi, dp_raw = tc.structure_tensors_vjp(aniso.phi, aniso.p_raw, structure[2],
+                                                    np.array(ev.alphas)[:, None, None] * G)
 
     return LossGradients(loss, dnet, dalpha_bar, dphi, dp_raw, S_hat if want_stress else None)
-
-
-def _orientation_adjoints(aniso, R, dN1, dN2):
-    """Chain dL/dN_i -> (dL/dphi, dL/dp_raw) through r_i = R(phi, p) e_i."""
-    r1, r2 = R[:, 0], R[:, 1]
-    dr1 = (dN1 + dN1.T) @ r1
-    dr2 = (dN2 + dN2.T) @ r2
-    p_raw = np.asarray(aniso.p_raw, dtype=float)
-    nrm = np.linalg.norm(p_raw)
-    p_hat = p_raw / nrm
-    P = tc.cross_matrix(p_hat)
-    phi = aniso.phi
-    dR_dphi = np.cos(phi) * P + np.sin(phi) * (P @ P)
-    dphi = float(dr1 @ dR_dphi[:, 0] + dr2 @ dR_dphi[:, 1])
-    dp_hat = np.zeros(3)
-    for k in range(3):
-        Ek = tc.cross_matrix(tc.EYE3[k])
-        dR_dpk = np.sin(phi) * Ek + (1.0 - np.cos(phi)) * (Ek @ P + P @ Ek)
-        dp_hat[k] = float(dr1 @ dR_dpk[:, 0] + dr2 @ dR_dpk[:, 1])
-    dp_raw = (dp_hat - p_hat * float(p_hat @ dp_hat)) / nrm
-    return dphi, dp_raw
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ def precompute_quadrature(mesh):
     dN_all = np.stack([shape_gradients(xi)[1] for xi in GAUSS_POINTS])  # (8qp, 8, 3)
     Xe = mesh.nodes[mesh.elems]  # (E, 8, 3)
     Jac = np.einsum("qad,eam->eqdm", dN_all, Xe)
-    detJ = np.linalg.det(Jac)
-    if np.any(detJ <= 0):
+    with np.errstate(invalid="ignore"):  # a NaN node fails the check below instead
+        detJ = np.linalg.det(Jac)
+    if not np.all(detJ > 0):
         raise ValueError("mesh has non-positive Jacobians")
     invJ = np.linalg.inv(Jac)
     dNdX = np.einsum("qad,eqmd->eqam", dN_all, invJ)
@@ -436,10 +437,10 @@ class FemConfig:
     p_raw: np.ndarray | None = None
 
     def __post_init__(self):
-        if min(self.lengths) <= 0:
-            raise ValueError("beam dimensions must be positive")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not all(0.0 < L < np.inf for L in self.lengths):
+            raise ValueError(f"beam dimensions must be finite and positive, got lengths {self.lengths}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         for name in ("n_steps", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -54,6 +54,7 @@ arrays and never alias a buffer.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,15 +121,7 @@ class PicnnParams:
         return w * w if self.constrained else w
 
     def copy(self):
-        return PicnnParams(
-            self.n_inv,
-            self.n_design,
-            self.width_x,
-            self.width_y,
-            self.depth,
-            self.constrained,
-            {k: v.copy() for k, v in self.weights.items()},
-        )
+        return copy.deepcopy(self)
 
 
 def init_params(n_inv, n_design, width_x=40, width_y=30, depth=3, constrained=True, seed=0):

@@ -237,10 +237,35 @@ def structure_tensors(phi, p_raw):
     R(phi, p) is formed, and N_i = r_i r_i^T for r_i = R e_i, i = 1, 2.
     Returns (N1, N2, R). phi (...) and p_raw (..., 3) give (..., 3, 3)
     stacks, each entry bitwise the call for that orientation alone.
+    structure_tensors_vjp is its reverse-mode adjoint.
     """
     R = rotation_from_axis_angle(phi, p_raw)
     r1, r2 = R[..., :, 0, None], R[..., :, 1, None]
     return r1 * r1.swapaxes(-1, -2), r2 * r2.swapaxes(-1, -2), R
+
+
+def structure_tensors_vjp(phi, p_raw, R, dNs):
+    """Pull dL/dN_i back through structure_tensors to (dL/dphi, dL/dp_raw).
+
+    R is the rotation structure_tensors returned for the scalar phi and the
+    axis p_raw (3,); dNs holds dL/dN1 and, for two tensors, dL/dN2. The
+    chain runs through the columns r_i = R e_i, whose adjoints
+    (dN_i + dN_i^T) r_i form dL/dR. With P = [p]_x and E_k = [e_k]_x:
+
+        dR/dphi = cos(phi) P + sin(phi) P^2
+        dR/dp_k = sin(phi) E_k + (1 - cos(phi)) (E_k P + P E_k)
+
+    and dL/dp_raw is dL/dp projected off p and divided by |p_raw|.
+    """
+    nrm = np.linalg.norm(p_raw)
+    p = np.asarray(p_raw, dtype=float) / nrm
+    P, E = cross_matrix(p), cross_matrix(EYE3)
+    dNs = np.asarray(dNs, dtype=float)
+    dR = np.zeros((3, 3))
+    dR[:, :len(dNs)] = np.einsum("kij,jk->ik", dNs + dNs.swapaxes(-1, -2), R[:, :len(dNs)])
+    dphi = np.vdot(np.cos(phi) * P + np.sin(phi) * (P @ P), dR)
+    dp = np.einsum("kij,ij->k", np.sin(phi) * E + (1.0 - np.cos(phi)) * (E @ P + P @ E), dR)
+    return float(dphi), (dp - p * (p @ dp)) / nrm
 
 
 def invariants(C, Ns=()):

@@ -41,10 +41,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.eps < 0:
-            raise ValueError("penalty weight must be nonnegative")
+        # each range check is a chained comparison, which is False for NaN
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"learning rate lr must be finite and positive, got {self.lr}")
+        for name in ("eps", "plateau_tol"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError("penalty exponent must lie in (0, 1]")
         if not (0.0 <= self.warmup_frac <= 1.0):

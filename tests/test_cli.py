@@ -215,6 +215,21 @@ def test_train_degenerate_direction_exits_2(root, trans_dataset, capsys, directi
     assert "nonzero finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--eps", "inf"], "eps"),
+    (["--lr", "inf"], "lr"),
+    (["--lr", "nan"], "lr"),
+    (["--plateau-tol", "nan"], "plateau_tol"),
+    (["--gamma", "nan"], "gamma"),
+    (["--known-class", "iso", "--lr", "nan"], "lr"),
+])
+def test_train_non_finite_setting_exits_2(root, iso_dataset, capsys, flags, field):
+    rc = run_cli("train", "--data", iso_dataset, "--runs-root", root, "--run", "non-finite",
+                 "--epochs", "2", *flags)
+    assert rc == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # inversion
 
@@ -329,6 +344,13 @@ def test_fem_design_width_mismatch(root, iso_ckpt, capsys):
                  "--runs-root", root, "--run", "femw")
     assert rc == 2
     assert "expects 2" in capsys.readouterr().err
+
+
+def test_fem_non_finite_lengths_exits_2(root, iso_ckpt, capsys):
+    rc = run_cli("fem", "--model", iso_ckpt, "--d", "3.0,3.0", "--lengths", "nan,1,1",
+                 "--runs-root", root, "--run", "fem-nan")
+    assert rc == 2
+    assert "lengths" in capsys.readouterr().err
 
 
 def test_fem_invert_trace_files(root, trans_dataset):

@@ -528,3 +528,9 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     p.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a model checkpoint"):
         energy.load_model(p)
+
+
+def test_energy_config_rejects_non_finite_gamma():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            energy.EnergyConfig(gamma=bad)

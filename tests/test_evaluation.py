@@ -205,6 +205,24 @@ def test_call_counts_invert_design_objective(monkeypatch):
         assert counts == {"cofactors": 0, "forward": 1, "unique": 0}
 
 
+def test_one_orientation_build_per_loss_gradient(monkeypatch):
+    """The loss resolves the structure tensors once and hands them to its orientation adjoint."""
+    m = model_for("polyconvex", "ortho")
+    rng = np.random.default_rng(27)
+    C = rand_spd(rng, 6)
+    ws = energy.make_workspace(m, C, rng.uniform(1.0, 5.0, (6, 2)), 0.1 * C)
+    calls = []
+
+    def counted(*args, _inner=tc.structure_tensors):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(tc, "structure_tensors", counted)
+    got = energy.loss_and_param_gradients(m, ws)
+    assert len(calls) == 1
+    assert got.dphi is not None and got.dalpha_bar.shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # the batched inversion objective
 

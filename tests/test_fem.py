@@ -474,3 +474,18 @@ def test_write_vtk(tmp_path):
     assert "VECTORS displacement double" in text
     assert "SCALARS von_mises double 1" in text
     assert text.count("12") >= 2
+
+
+def test_fem_config_rejects_non_finite_lengths_and_tolerance():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lengths"):
+            fem.FemConfig(lengths=(bad, 1.0, 1.0))
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        fem.FemConfig(tol=np.nan)
+
+
+def test_quadrature_rejects_nan_jacobians():
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    mesh.nodes[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="Jacobians"):
+        fem.precompute_quadrature(mesh)

@@ -264,3 +264,31 @@ def test_batched_structure_tensors_reject_a_zero_axis():
         p[2] = bad
         with pytest.raises(ValueError, match="nonzero finite"):
             tc.structure_tensors(phi, p)
+
+
+adjoint_seeds = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+    lambda v: np.reshape(v, (3, 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(phi=st.floats(0.0, np.pi),
+       p_raw=st.tuples(*[st.floats(-2.0, 2.0)] * 3).filter(lambda p: np.linalg.norm(p) > 0.2),
+       dN1=adjoint_seeds, dN2=adjoint_seeds, transiso=st.booleans())
+def test_structure_tensors_vjp_matches_central_differences(phi, p_raw, dN1, dN2, transiso):
+    """(dL/dphi, dL/dp_raw) of L = dN1 : N1 + dN2 : N2, with dN2 = 0 for one tensor."""
+    dNs = [dN1] if transiso else [dN1, dN2]
+    p_raw = np.array(p_raw)
+
+    def L(phi, p):
+        return sum(np.vdot(dN, N) for dN, N in zip(dNs, tc.structure_tensors(phi, p)))
+
+    got_phi, got_p = tc.structure_tensors_vjp(phi, p_raw, tc.structure_tensors(phi, p_raw)[2], dNs)
+    h = 1e-6
+    fd_phi = (L(phi + h, p_raw) - L(phi - h, p_raw)) / (2 * h)
+    fd_p = np.array([(L(phi, p_raw + h * e) - L(phi, p_raw - h * e)) / (2 * h) for e in np.eye(3)])
+    assert abs(got_phi - fd_phi) <= 1e-7 * (1.0 + abs(fd_phi))
+    assert np.max(np.abs(got_p - fd_p)) <= 1e-7 * (1.0 + np.max(np.abs(fd_p)))
+    if transiso:
+        padded = tc.structure_tensors_vjp(phi, p_raw, tc.structure_tensors(phi, p_raw)[2],
+                                          [dN1, np.zeros((3, 3))])
+        assert padded[0] == got_phi and np.array_equal(padded[1], got_p)

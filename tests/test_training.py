@@ -354,3 +354,10 @@ def test_one_adam_step_matches_fd_gradients():
 
     for k in analytic.net.weights:
         assert np.allclose(analytic.net.weights[k], fd.net.weights[k], atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["lr", "eps", "plateau_tol"])
+def test_config_rejects_non_finite_settings(name):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            training.TrainConfig(**{name: bad})
