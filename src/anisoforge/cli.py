@@ -9,9 +9,9 @@ default, help and choices, from which the config check, the defaults and
 each command's flags follow. Artifacts land under
 runs/<name>/{config,checkpoints,logs,reports}.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (Newton breakdown, divergent training, non-finite objectives),
-4 I/O or file-format error.
+Exit codes (EXIT_CODES): 0 success, 2 usage or configuration error,
+3 numerical failure (Newton breakdown, divergent training, non-finite
+objectives), 4 I/O or file-format error.
 
 Heavy imports happen inside the command handlers so that --threads (or
 the ANISOFORGE_THREADS fallback) can cap the BLAS pools before numpy
@@ -735,37 +735,33 @@ def build_parser():
     return parser
 
 
+# the exit code of an error: the first row whose types it is an instance of
+EXIT_CODES = (
+    (UsageError, 2),
+    (IoError, 4),
+    ((RuntimeError, FloatingPointError), 3),
+    (ValueError, 2),
+    (OSError, 4),
+)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _apply_thread_cap(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         run = make_run_dir(args)
         sections = {section: resolve_section(section, args) for section in args.sections}
         args.func(args, run, sections)
         if sections:
             echo_config(run, sections)
         return 0
-    except UsageError as e:
+    except Exception as e:
+        code = next((code for types, code in EXIT_CODES if isinstance(e, types)), None)
+        if code is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except IoError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (RuntimeError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return code
 
 
 if __name__ == "__main__":

@@ -8,31 +8,39 @@ with J = I3 = sqrt(det C) and
 
     Psi_gr = gamma (J + 1/J - 2)^2               (coercive volumetric growth)
     Psi_n  = -Psi_net(Iref, D)                    (energy zero at C = I)
-    Psi_sn = stress normalization, one of two forms below.
+    Psi_sn = sum_i c_sn_i (I_i - Iref_i)          (stress zero at C = I)
 
-Coefficient form ("polyconvex" and "unconstrained" modes): with
-gb_i = dPsi_net/dI_i evaluated at the reference invariants Iref,
+In both forms c_sn is one linear map of gb_i = dPsi_net/dI_i at the
+reference invariants Iref, and each form puts its spherical term
 
-    Psi_sn = -o (I3 - 1) + p (I5 - I5r) + q (I6 - I6r) + r (I7 - I7r) + s (I8 - I8r)
-    p = gb6, q = gb5, r = gb8, s = gb7
-    o = 2 [ gb1 + 2 gb2 + gb3/2 - gb4 + (p + q) a1 tr N1 + (r + s) a2 tr N2 ]
+    o = gb1 + 2 gb2 + gb3/2 - gb4 + sum_i (w_k gb_k + w_k+1 gb_k+1) tr(a_i N_i)
 
-The index swaps p<->q and r<->s make the structure-tensor parts of the
+(k, k+1 the columns of tensor i) on one isotropic column (_SPHERICAL_TERM).
+
+Coefficient form ("polyconvex" and "unconstrained" modes), w = (1, 1):
+
+    Psi_sn = -2 o (I3 - 1) + gb6 (I5 - I5r) + gb5 (I6 - I6r) + gb8 (I7 - I7r) + gb7 (I8 - I8r)
+
+The index swaps 5<->6 and 7<->8 make the structure-tensor parts of the
 stress cancel at C = I; the o term then kills the remaining spherical part,
 so S(I, D) = 0 identically for any weights. Each added term is affine in a
 single polyconvex invariant with a C-independent slope, so polyconvexity of
 the network term is preserved.
 
-Linear-in-C form ("nonpoly_linearC" mode):
+Linear-in-C form ("nonpoly_linearC" mode), w = (0, 1): Psi_sn = -Tref : (C - I)
+with Tref = sum_i gb_i Bref_i and Bref_i = B_i(I). The Bref_i span
+{I, N1, N2}, so
 
-    Psi_sn = -Tref : (C - I),   Tref = sum_i gb_i Bref_i
+    Tref   = o I + a1 (gb5 - gb6) N1 + a2 (gb7 - gb8) N2
+    Psi_sn = -o (I1 - 3) - (gb5 - gb6) (I5 - I5r) - (gb7 - gb8) (I7 - I7r)
 
-also cancels the stress at C = I but is affine in C itself, hence invisible
-to the tangent and outside the polyconvex invariant set.
+for unit-trace N_i. It touches only I1, I5 and I7, whose second
+derivatives vanish, so it is invisible to the tangent; its slopes may be
+negative, so it lies outside the polyconvex form.
 
 Stress and tangent follow from the invariant chain rule:
 
-    S  = 2 sum_i c_i B_i (+ S_sn in linear-C form),   B_i = dI_i/dC
+    S  = 2 sum_i c_i B_i,   B_i = dI_i/dC
     CC = 4 [ sum_ij (d2Psi/dI_i dI_j) B_i (x) B_j + sum_i c_i d2I_i/dC dC ]
 
 The anisotropic invariants are linear in N, so an activity a_i acts as the
@@ -60,7 +68,8 @@ evaluation; every chain is finite-difference checked in the tests.
 
 The backward pass keeps one 3x3 adjoint G_i = dL/d(a_i N_i) per active
 tensor and reads the normalization's reference-row seeds off the transpose
-of the map the forward pass applies. The Rodrigues adjoint that carries
+of the map the forward pass applies, and the sensitivity to tr(a_i N_i)
+off the same _SPHERICAL_TERM. The Rodrigues adjoint that carries
 a_i G_i to the orientation is tc.structure_tensors_vjp.
 """
 
@@ -83,6 +92,7 @@ CLASSES = tuple(N_DIRECTIONS)
 
 CHECKPOINT_FORMAT = "anisoforge-checkpoint"
 CHECKPOINT_VERSION = 1
+ARCHITECTURE = ("n_inv", "n_design", "width_x", "width_y", "depth", "constrained")
 
 
 @dataclass
@@ -270,18 +280,28 @@ class NormCoefficients:
 
     psi_ref: np.ndarray  # network energy at the reference invariants
     g_ref: np.ndarray  # network gradient there, (G, n_active)
-    c_sn: np.ndarray | None  # coefficient-form corrections, (G, n_active)
-    T_ref: np.ndarray | None  # linear-C form tensor, (G, 3, 3)
+    c_sn: np.ndarray  # Psi_sn as invariant coefficients, (G, n_active)
 
 
-def _coefficient_corrections(g_ref, Ns, alphas):
+# per mode, c_sn[:, column] = factor * o for Psi_sn's spherical term o, whose
+# tr(a_i N_i) terms weigh the tensor's columns (gb_k, gb_k+1) by (w_k, w_k+1)
+_SPHERICAL_TERM = {"polyconvex": (2, -2.0, (1.0, 1.0)), "unconstrained": (2, -2.0, (1.0, 1.0)),
+                   "nonpoly_linearC": (0, -1.0, (0.0, 1.0))}
+
+
+def _normalization_map(g_ref, Ns, alphas, mode):
+    """c_sn, Psi_sn's coefficients on the invariants, as a linear map of g_ref."""
+    col, f, (wk, wl) = _SPHERICAL_TERM[mode]
     c_sn = np.zeros_like(g_ref)
     o = g_ref[:, 0] + 2.0 * g_ref[:, 1] + 0.5 * g_ref[:, 2] - g_ref[:, 3]
     for k, N, a in zip((4, 6), Ns, alphas):
-        c_sn[:, k] = g_ref[:, k + 1]
-        c_sn[:, k + 1] = g_ref[:, k]
-        o = o + (g_ref[:, k] + g_ref[:, k + 1]) * a * np.trace(N, axis1=-2, axis2=-1)
-    c_sn[:, 2] = -2.0 * o
+        if mode == "nonpoly_linearC":
+            c_sn[:, k] = g_ref[:, k + 1] - g_ref[:, k]
+        else:
+            c_sn[:, k] = g_ref[:, k + 1]
+            c_sn[:, k + 1] = g_ref[:, k]
+        o = o + (wk * g_ref[:, k] + wl * g_ref[:, k + 1]) * a * np.trace(N, axis1=-2, axis2=-1)
+    c_sn[:, col] = f * o
     return c_sn
 
 
@@ -315,20 +335,13 @@ class _Evaluation:
                                                 group=ws.rows, out=ws.cache)
         self.psi_net, self.g = psi[:B], g[:B]
         g_ref = g[B:]
-        if cfg.mode == "nonpoly_linearC":
-            self.Bref = tc.reference_bases(Ns) * self.scale[:, None, None]
-            Bref = self.Bref.reshape(-1, n, 9)  # shared, or one stack per design
-            T_ref = g_ref @ Bref[0] if len(Bref) == 1 else (g_ref[:, None] @ Bref)[:, 0]
-            self.nc = NormCoefficients(psi[B:], g_ref, None, T_ref.reshape(G, 3, 3))
-        else:
-            self.nc = NormCoefficients(psi[B:], g_ref,
-                                       _coefficient_corrections(g_ref, Ns, alphas), None)
+        self.nc = NormCoefficients(psi[B:], g_ref, _normalization_map(g_ref, Ns, alphas, cfg.mode))
 
     def coefficients(self, with_sn=True):
-        """dPsi/dI per sample row: network, growth and (with_sn) coefficient-form terms."""
+        """dPsi/dI per sample row: network, growth and (with_sn) normalization terms."""
         c = self.g.copy()
         c[:, 2] += growth_coefficient(self.ws.J, self.model.config.gamma)
-        if with_sn and self.nc.c_sn is not None:
+        if with_sn:
             c += self.nc.c_sn[self.group]
         return c
 
@@ -336,19 +349,13 @@ class _Evaluation:
         J = self.ws.J
         out = self.psi_net + self.model.config.gamma * (J + 1.0 / J - 2.0) ** 2
         out -= self.nc.psi_ref[self.group]
-        if self.nc.T_ref is not None:
-            out -= np.einsum("bij,bij->b", self.nc.T_ref[self.group], self.ws.C - tc.EYE3)
-        else:
-            out += np.einsum("bi,bi->b", self.nc.c_sn[self.group], self.X[: J.size] - self.Iref)
+        out += np.einsum("bi,bi->b", self.nc.c_sn[self.group], self.X[: J.size] - self.Iref)
         return out
 
     def stress(self):
         B, n = self.Iu.shape
         c = self.coefficients() * self.scale
-        S = 2.0 * (c[:, None, :] @ self.Bu.reshape(B, n, 9)).reshape(B, 3, 3)
-        if self.nc.T_ref is not None:
-            S -= 2.0 * self.nc.T_ref[self.group]
-        return S
+        return 2.0 * (c[:, None, :] @ self.Bu.reshape(B, n, 9)).reshape(B, 3, 3)
 
     def tangent(self, with_sn=True):
         """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
@@ -429,10 +436,10 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
     with B6 the packed bases, H the input Hessian of the network plus the
     growth curvature, and the second sum from tc.curvature_66.
 
-    with_sn toggles the stress-normalization contribution. In coefficient
-    form that contribution enters through the sum of c_i d2I_i/dC2; in the
-    linear-C form Psi_sn is affine in C, so the flag changes nothing and the
-    two results are bitwise identical.
+    with_sn toggles the stress-normalization contribution, which enters
+    through the sum of c_i d2I_i/dC2. The linear-C form's c_sn lies on I1,
+    I5 and I7, whose curvature is zero, so there the flag changes nothing
+    and the two results are bitwise identical.
 
     return_stress=True returns (S, CC) from the same evaluation, so a
     Newton iteration needs one constitutive call; S always carries the
@@ -559,12 +566,8 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     u = 2.0 * ev.scale * (ev.Bu.reshape(B, n, 9) @ dS9[:, :, None])[..., 0]
     U = ws.scatter @ u
 
-    # reference-row seeds: the transpose of the map from g_ref to the normalization terms
-    if cfg.mode == "nonpoly_linearC":
-        dT = -2.0 * (ws.scatter @ dS9)
-        seed_ref = dT @ ev.Bref.reshape(n, 9).T
-    else:
-        seed_ref = U @ _coefficient_corrections(np.eye(n), ev.Ns, ev.alphas).T
+    # reference-row seeds: the transpose of the map from g_ref to c_sn
+    seed_ref = U @ _normalization_map(np.eye(n), ev.Ns, ev.alphas, cfg.mode).T
 
     dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
                               cache=ws.cache, group=ws.rows)
@@ -580,15 +583,10 @@ def loss_and_param_gradients(model, ws, want_stress=False):
         G += 2.0 * c[:, 0::2].T @ dS9
         G += (w * np.einsum("bi,bi->b", dS9, V9)[:, None]).T @ V9
         G -= w.T @ (ws.Cinv @ dS @ ws.Cinv).reshape(B, 9)
-        # the tr(M_i) terms: both reference invariants, and the normalization's
-        # o (coefficient form) or Bref = (M_i, tr(M_i) I - M_i) (linear-C form)
+        # the tr(M_i) terms: both reference invariants and the normalization's o
+        col, f, (wk, wl) = _SPHERICAL_TERM[cfg.mode]
         t = (dIref[:, 0::2] + dIref[:, 1::2]).sum(axis=0)
-        if cfg.mode == "nonpoly_linearC":
-            E = gb.T @ dT
-            G += E[0::2] - E[1::2]
-            t += E[1::2, ::4].sum(axis=1)
-        else:
-            t -= 2.0 * (U[:, 2] @ (gb[:, 0::2] + gb[:, 1::2]))
+        t += f * (U[:, col] @ (wk * gb[:, 0::2] + wl * gb[:, 1::2]))
         G[:, ::4] += t[:, None]
         G = G.reshape(k, 3, 3)
         if aniso.trainable_alpha:
@@ -624,14 +622,7 @@ def save_model(model, path):
             "class": model.config.aniso_class,
             "gamma": model.config.gamma,
         },
-        "architecture": {
-            "n_inv": model.net.n_inv,
-            "n_design": model.net.n_design,
-            "width_x": model.net.width_x,
-            "width_y": model.net.width_y,
-            "depth": model.net.depth,
-            "constrained": model.net.constrained,
-        },
+        "architecture": {k: getattr(model.net, k) for k in ARCHITECTURE},
         "weights": {k: v.tolist() for k, v in model.net.weights.items()},
         "aniso": None
         if model.aniso is None
@@ -657,16 +648,14 @@ def load_model(path):
         raise ValueError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    arch = payload["architecture"]
-    net = picnn.PicnnParams(
-        arch["n_inv"],
-        arch["n_design"],
-        arch["width_x"],
-        arch["width_y"],
-        arch["depth"],
-        arch["constrained"],
-        {k: np.asarray(v, dtype=float) for k, v in payload["weights"].items()},
-    )
+    net = picnn.PicnnParams(*(payload["architecture"][k] for k in ARCHITECTURE),
+                            {k: np.asarray(v, dtype=float) for k, v in payload["weights"].items()})
+    for name, shape in net.weight_shapes().items():
+        if name not in net.weights:
+            raise ValueError(f"{path}: weight {name!r} is missing")
+        if net.weights[name].shape != shape:
+            raise ValueError(f"{path}: weight {name!r} has shape {net.weights[name].shape}, "
+                             f"the architecture needs {shape}")
     cfg = EnergyConfig(payload["config"]["mode"], payload["config"]["class"], payload["config"]["gamma"])
     aniso = None
     if payload["aniso"] is not None:

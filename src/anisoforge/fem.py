@@ -441,6 +441,10 @@ class FemConfig:
             raise ValueError(f"beam dimensions must be finite and positive, got lengths {self.lengths}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
+        if not np.isfinite(self.u0):
+            raise ValueError(f"u0 must be finite, got {self.u0}")
+        if self.phi is not None and not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         for name in ("n_steps", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -112,6 +112,14 @@ class PicnnParams:
     constrained: bool = True
     weights: dict = field(default_factory=dict)
 
+    def weight_shapes(self):
+        """The shape of each weight array the architecture needs, by name."""
+        wx, wy, shapes = self.width_x, self.width_y, {"wout": (self.width_x,), "bout": (1,)}
+        for h in range(self.depth):
+            shapes.update({f"Wyy{h}": (wy, wy if h else self.n_design), f"by{h}": (wy,), f"bx{h}": (wx,),
+                           f"Wxx{h}": (wx, wx if h else self.n_inv), f"Wxy{h}": (wx, wy)})
+        return shapes
+
     def realized_xx(self, h):
         W = self.weights[f"Wxx{h}"]
         return W * W if self.constrained else W

@@ -169,6 +169,9 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
     to cfg.epochs.
     """
     t0 = time.perf_counter()
+    last = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
+    if start_epoch >= last:
+        raise ValueError(f"empty training segment: epochs {start_epoch} to {last}")
     weights = component_weights(dataset.S) if cfg.normalize_components else None
     ws = energy.make_workspace(model, dataset.C, dataset.D, dataset.S, weights)
     model.d_bounds = _bounds_from_data(model, ws)
@@ -176,7 +179,6 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
     opt = optimizer if optimizer is not None else Adam(lr=cfg.lr)
     history = {"loss": [], "epoch": [], "alpha": [], "phi": [], "penalty": []}
     writer, log_file = _open_log(log_dir)
-    last = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
     snapshot = (start_epoch, model.copy())
     stopped_early = False
     try:

@@ -353,6 +353,32 @@ def test_fem_non_finite_lengths_exits_2(root, iso_ckpt, capsys):
     assert "lengths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ("--phi", "--u0"))
+def test_fem_non_finite_phi_or_u0_names_the_flag(root, iso_ckpt, capsys, flag):
+    rc = run_cli("fem", "--model", iso_ckpt, "--d", "3.0,3.0", "--axis", "0,0,1", flag, "nan",
+                 "--runs-root", root, "--run", "fem-nan-" + flag[2:])
+    assert rc == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ("missing", "shape"))
+def test_fem_malformed_checkpoint_weights_exit_4(root, iso_ckpt, tmp_path, capsys, case):
+    payload = json.loads(iso_ckpt.read_text())
+    if case == "missing":
+        del payload["weights"]["bout"]
+        key = "'bout'"
+    else:
+        payload["weights"]["Wxx0"] = np.ones((3, 3)).tolist()
+        key = "'Wxx0'"
+    bad = tmp_path / "weights.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli("fem", "--model", bad, "--d", "3.0,3.0", "--divisions", "2,1,1",
+                 "--runs-root", root, "--run", "fem-ck-" + case)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and key in err
+
+
 def test_fem_invert_trace_files(root, trans_dataset):
     rc = run_cli(
         "train", "--data", trans_dataset, "--runs-root", root, "--run", "train-tr",

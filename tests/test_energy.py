@@ -194,6 +194,25 @@ def test_normalization_coefficients_signs_and_iso_reduction():
     assert np.all(nc_iso.c_sn[:, [0, 1, 3]] == 0.0)
 
 
+@pytest.mark.parametrize("aniso_class", CLASSES)
+def test_linearC_normalization_is_a_map_onto_I1_I5_I7(aniso_class):
+    """c_sn of the linear-C form carries -T_ref : (C - I), T_ref = sum_i g_ref_i scale_i Bref_i."""
+    rng = np.random.default_rng(11)
+    m = tiny_model("nonpoly_linearC", aniso_class)
+    D = rng.uniform(1.0, 5.0, (3, 2))
+    nc = energy.normalization_coefficients(m, D)
+    linear = [0, 4, 6][: 1 + energy.N_DIRECTIONS[aniso_class]]
+    assert np.all(np.delete(nc.c_sn, linear, axis=1) == 0.0)
+    assert np.all(nc.c_sn[:, linear] != 0.0)
+    Ns = energy._resolve_structure(m)
+    scale = np.repeat((1.0, 1.0) + m.aniso.alphas()[: len(Ns)], 2) if Ns else np.ones(4)
+    T_ref = np.einsum("gi,ijk->gjk", nc.g_ref * scale, tc.reference_bases(Ns))
+    for C in rand_spd(rng, 5):
+        Bu = tc.invariant_bases(C, Ns)
+        S_sn = 2.0 * np.einsum("gi,ijk->gjk", nc.c_sn * scale, Bu)
+        assert rel_err(S_sn, -2.0 * T_ref) < 1e-13
+
+
 def test_design_bounds_warning():
     m = tiny_model()
     m.d_bounds = np.array([[1.0, 5.0], [1.0, 5.0]])

@@ -187,6 +187,14 @@ def test_train_resume_matches_single_run():
         assert np.array_equal(solo.net.weights[k], part.net.weights[k])
 
 
+@pytest.mark.parametrize("start, stop", ((10, None), (5, 5), (12, 20)))
+def test_train_rejects_empty_segment(start, stop):
+    ds = tiny_dataset("iso", n_f=10)
+    cfg = training.TrainConfig(epochs=10)
+    with pytest.raises(ValueError, match="empty training segment"):
+        training.train(tiny_model("iso", seed=5), ds, cfg, start_epoch=start, stop_epoch=stop)
+
+
 def test_train_divergence_raises():
     ds = tiny_dataset("iso", n_f=10)
     model = tiny_model("iso", seed=6)
