@@ -204,14 +204,14 @@ def load_config(path):
     return out
 
 
-def resolve_section(section, args):
+def resolve_section(section, args, config):
     """defaults <- config file <- command-line flags, skipping unset flags.
 
-    A key's flag stores its value under the attribute "<section>.<key>".
+    config is the parsed file (load_config) or {}; a key's flag stores its
+    value under the attribute "<section>.<key>".
     """
     resolved = {key: opt.default for key, opt in SECTIONS[section].items()}
-    if args.config:
-        resolved.update(load_config(args.config).get(section, {}))
+    resolved.update(config.get(section, {}))
     for key in resolved:
         flag = getattr(args, f"{section}.{key}", None)
         if flag is not None:
@@ -366,16 +366,13 @@ def _fem_config(resolved, model):
     from . import fem
 
     axis = resolved["axis"]
-    try:
-        return fem.FemConfig(
-            D=_design_vector(resolved["d"], model),
-            p_raw=None if axis is None else np.asarray(_floats(axis, n=3, what="--axis")),
-            lengths=tuple(_floats(resolved["lengths"], n=3, what="--lengths")),
-            divisions=tuple(_ints(resolved["divisions"], ",", "--divisions")),
-            **{key: resolved[key] for key in ("u0", "n_steps", "tol", "max_iter", "phi")},
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    return fem.FemConfig(
+        D=_design_vector(resolved["d"], model),
+        p_raw=None if axis is None else np.asarray(_floats(axis, n=3, what="--axis")),
+        lengths=tuple(_floats(resolved["lengths"], n=3, what="--lengths")),
+        divisions=tuple(_ints(resolved["divisions"], ",", "--divisions")),
+        **{key: resolved[key] for key in ("u0", "n_steps", "tol", "max_iter", "phi")},
+    )
 
 
 def _train_config(resolved):
@@ -383,12 +380,7 @@ def _train_config(resolved):
 
     from . import training
 
-    try:
-        return training.TrainConfig(
-            **{f.name: resolved[f.name] for f in fields(training.TrainConfig)}
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    return training.TrainConfig(**{f.name: resolved[f.name] for f in fields(training.TrainConfig)})
 
 
 def _fresh_model(resolved, n_design):
@@ -401,34 +393,39 @@ def _fresh_model(resolved, n_design):
     net_keys = ("mode", "gamma", "seed", "width_x", "width_y", "depth")
     net_kwargs = {key: resolved[key] for key in net_keys}
     known = resolved["known_class"]
-    try:
-        if known is None:
-            return training.model_for_discovery(n_design, **net_kwargs)
-        aniso_class = _class_name(known, "--known-class")
-        n1 = n2 = None
-        if resolved["direction"] is not None:
-            n1 = tc.unit_vector(_floats(resolved["direction"], n=3, what="--direction"))
-            if resolved["direction2"] is not None:
-                n2 = np.asarray(
-                    _floats(resolved["direction2"], n=3, what="--direction2"), dtype=float
-                )
-            else:
-                # any unit vector orthogonal to n1 completes the frame
-                seed_axis = np.eye(3)[int(np.argmin(np.abs(n1)))]
-                n2 = tc.unit_vector(seed_axis - (seed_axis @ n1) * n1)
-        return training.model_for_known_class(n_design, aniso_class, n1=n1, n2=n2, **net_kwargs)
-    except ValueError as e:
-        raise UsageError(str(e))
+    direction, direction2 = resolved["direction"], resolved["direction2"]
+    if direction2 is not None and direction is None:
+        raise UsageError("--direction2 needs --direction")
+    if direction is not None and known is None:
+        raise UsageError("--direction needs --known-class; discovery learns the directions")
+    if known is None:
+        return training.model_for_discovery(n_design, **net_kwargs)
+    aniso_class = _class_name(known, "--known-class")
+    n1 = n2 = None
+    if direction is not None:
+        n1 = tc.unit_vector(_floats(direction, n=3, what="--direction"))
+        if direction2 is not None:
+            n2 = np.asarray(_floats(direction2, n=3, what="--direction2"), dtype=float)
+        else:
+            # any unit vector orthogonal to n1 completes the frame
+            seed_axis = np.eye(3)[int(np.argmin(np.abs(n1)))]
+            n2 = tc.unit_vector(seed_axis - (seed_axis @ n1) * n1)
+    return training.model_for_known_class(n_design, aniso_class, n1=n1, n2=n2, **net_kwargs)
 
 
-def _check_class_metadata(model, ds, what):
-    """Reject a target whose generator class differs from the training data's."""
+def _check_dataset(model, ds, what):
+    """Reject a dataset of another generator class or design width than the checkpoint's."""
     trained_on = model.meta.get("data_class")
     ds_class = ds.meta.get("class")
     if trained_on is not None and ds_class is not None and trained_on != ds_class:
         raise IoError(
             f"class metadata mismatch: checkpoint was trained on {trained_on!r} data "
             f"but {what} is {ds_class!r}"
+        )
+    if model.net.n_design != ds.D.shape[1]:
+        raise IoError(
+            f"checkpoint expects {model.net.n_design} design parameters, "
+            f"{what} has {ds.D.shape[1]}"
         )
 
 
@@ -452,6 +449,7 @@ def cmd_train(args, run, sections):
     ds = _load_dataset(args.data)
 
     from . import energy, training
+    from . import tensor_core as tc
 
     cfg = _train_config(resolved)
     if args.resume:
@@ -462,11 +460,7 @@ def cmd_train(args, run, sections):
                 f"checkpoint already trained for {start_epoch} epochs; "
                 f"raise --epochs past that to continue"
             )
-        if model.net.n_design != ds.D.shape[1]:
-            raise IoError(
-                f"checkpoint expects {model.net.n_design} design parameters, "
-                f"dataset has {ds.D.shape[1]}"
-            )
+        _check_dataset(model, ds, "dataset")
     else:
         model = _fresh_model(resolved, ds.D.shape[1])
         start_epoch = 0
@@ -501,13 +495,9 @@ def cmd_train(args, run, sections):
         },
         "alphas": list(aniso.alphas()) if aniso is not None else [1.0, 1.0],
         "phi": aniso.phi if aniso is not None else None,
-        "axis": None,
+        "axis": tc.unit_vector(aniso.p_raw).tolist() if aniso is not None else None,
         "directions": directions,
     }
-    if aniso is not None:
-        import numpy as np
-
-        report["axis"] = (aniso.p_raw / np.linalg.norm(aniso.p_raw)).tolist()
     write_json(run / "reports" / "train_report.json", report)
     print(
         f"trained {report['epochs_run']} epochs, final loss {result.final_loss:.6e}, "
@@ -519,12 +509,7 @@ def cmd_invert(args, run, sections):
     resolved = sections["inverse"]
     model = _load_model(args.model)
     ds = _load_dataset(args.data)
-    _check_class_metadata(model, ds, "target dataset")
-    if ds.D.shape[1] != model.net.n_design:
-        raise IoError(
-            f"checkpoint expects {model.net.n_design} design parameters, "
-            f"target dataset has {ds.D.shape[1]}"
-        )
+    _check_dataset(model, ds, "target dataset")
 
     from . import inverse
 
@@ -533,19 +518,16 @@ def cmd_invert(args, run, sections):
         option_keys = ("popsize", "tol_x", "tol_stagnation")
     else:
         option_keys = ("step", "tol", "reflection", "expansion", "contraction", "shrink")
-    try:
-        result = inverse.invert_design(
-            model,
-            ds.C,
-            ds.S,
-            method=method,
-            trace_path=run / "logs" / "trace.csv",
-            options={k: resolved[k] for k in option_keys if resolved[k] is not None},
-            **{k: resolved[k] for k in ("restarts", "seed", "free_orientation", "max_evals",
-                                        "f_target", "sigma0")},
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    result = inverse.invert_design(
+        model,
+        ds.C,
+        ds.S,
+        method=method,
+        trace_path=run / "logs" / "trace.csv",
+        options={k: resolved[k] for k in option_keys if resolved[k] is not None},
+        **{k: resolved[k] for k in ("restarts", "seed", "free_orientation", "max_evals",
+                                    "f_target", "sigma0")},
+    )
 
     report = result.report()
     report["method"] = method
@@ -751,7 +733,8 @@ def main(argv=None):
         _apply_thread_cap(argv)
         args = build_parser().parse_args(argv)
         run = make_run_dir(args)
-        sections = {section: resolve_section(section, args) for section in args.sections}
+        config = load_config(args.config) if args.config and args.sections else {}
+        sections = {section: resolve_section(section, args, config) for section in args.sections}
         args.func(args, run, sections)
         if sections:
             echo_config(run, sections)

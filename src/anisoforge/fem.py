@@ -448,13 +448,11 @@ class FemConfig:
         for name in ("n_steps", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if (self.phi is None) != (self.p_raw is None):
+            raise ValueError("an orientation override takes both phi and the rotation axis p_raw")
 
     def structure(self):
-        if self.phi is None:
-            return None
-        if self.p_raw is None:
-            raise ValueError("phi given without a rotation axis p_raw")
-        return tc.structure_tensors(self.phi, self.p_raw)
+        return None if self.phi is None else tc.structure_tensors(self.phi, self.p_raw)
 
 
 def beam_bc(mesh, u0):
@@ -564,10 +562,10 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
 VTK_HEADER = "# vtk DataFile Version 3.0"
 
 
-def write_vtk(path, mesh, u=None, point_data=None, cell_data=None, comment="anisoforge output"):
-    """Legacy ASCII VTK unstructured grid with optional nodal/cell fields."""
+def write_vtk(path, mesh, u, cell_data=None):
+    """Legacy ASCII VTK unstructured grid: nodal displacements, optional cell scalars."""
     with open(path, "w") as f:
-        f.write(f"{VTK_HEADER}\n{comment}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"{VTK_HEADER}\nanisoforge output\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_nodes} double\n")
         for p in mesh.nodes:
             f.write(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}\n")
@@ -577,22 +575,9 @@ def write_vtk(path, mesh, u=None, point_data=None, cell_data=None, comment="anis
             f.write("8 " + " ".join(str(n) for n in e) + "\n")
         f.write(f"CELL_TYPES {E}\n")
         f.writelines("12\n" for _ in range(E))
-
-        point_fields = dict(point_data or {})
-        if u is not None:
-            point_fields.setdefault("displacement", np.asarray(u).reshape(-1, 3))
-        if point_fields:
-            f.write(f"POINT_DATA {mesh.n_nodes}\n")
-            for name, values in point_fields.items():
-                values = np.asarray(values)
-                if values.ndim == 2 and values.shape[1] == 3:
-                    f.write(f"VECTORS {name} double\n")
-                    for v in values:
-                        f.write(f"{v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-                else:
-                    f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in values.reshape(-1):
-                        f.write(f"{v:.12g}\n")
+        f.write(f"POINT_DATA {mesh.n_nodes}\nVECTORS displacement double\n")
+        for v in np.asarray(u).reshape(-1, 3):
+            f.write(f"{v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
         if cell_data:
             f.write(f"CELL_DATA {E}\n")
             for name, values in cell_data.items():

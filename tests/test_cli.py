@@ -122,6 +122,24 @@ def test_flags_override_config_and_echo(root, iso_dataset, tmp_path):
     assert "width_x = 8" in echoed
 
 
+def test_config_file_parsed_once_and_only_when_read(root, tmp_path, monkeypatch, iso_ckpt):
+    calls = []
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: calls.append(path) or real(path))
+    cfg = tmp_path / "study.ini"
+    cfg.write_text("[data]\nmodel = neo-hookean\ngrid = 2x2\n"
+                   "[train]\nepochs = 2\nknown_class = iso\nwidth_x = 4\nwidth_y = 3\ndepth = 1\n")
+    rc = run_cli("study-samples", "--config", cfg, "--sizes", "3",
+                 "--runs-root", root, "--run", "cfg-once")
+    assert rc == 0
+    assert calls == [str(cfg)]
+    # probe-isotropy reads no section, so it leaves even a missing file alone
+    rc = run_cli("probe-isotropy", "--model", iso_ckpt, "--d", "3.0,3.0", "--n-gamma", "3",
+                 "--config", tmp_path / "missing.ini", "--runs-root", root, "--run", "cfg-none")
+    assert rc == 0
+    assert calls == [str(cfg)]
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -164,6 +182,13 @@ def test_train_resume_continues_numbering(root, iso_dataset, iso_ckpt):
     report = json.loads((root / "resumed" / "reports" / "train_report.json").read_text())
     assert report["epochs_run"] == 50
     assert report["trajectory"]["epoch"][0] == 40
+
+
+def test_train_resume_class_mismatch_exits_4(root, iso_ckpt, trans_dataset, capsys):
+    rc = run_cli("train", "--data", trans_dataset, "--resume", iso_ckpt, "--epochs", "50",
+                 "--runs-root", root, "--run", "resume-mm")
+    assert rc == 4
+    assert "class metadata mismatch" in capsys.readouterr().err
 
 
 def test_train_resume_past_target_is_usage_error(root, iso_dataset, iso_ckpt, capsys):
@@ -213,6 +238,20 @@ def test_train_degenerate_direction_exits_2(root, trans_dataset, capsys, directi
                      "--known-class", "trans", "--direction", direction, "--epochs", "1")
     assert rc == 2
     assert "nonzero finite" in capsys.readouterr().err
+
+
+def test_train_direction_without_known_class_exits_2(root, iso_dataset, capsys):
+    rc = run_cli("train", "--data", iso_dataset, "--direction", "0,0,1", "--epochs", "1",
+                 "--runs-root", root, "--run", "dir-no-class")
+    assert rc == 2
+    assert "--direction needs --known-class" in capsys.readouterr().err
+
+
+def test_train_direction2_without_direction_exits_2(root, trans_dataset, capsys):
+    rc = run_cli("train", "--data", trans_dataset, "--known-class", "trans",
+                 "--direction2", "0,1,0", "--epochs", "1", "--runs-root", root, "--run", "dir2")
+    assert rc == 2
+    assert "--direction2 needs --direction" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -359,6 +398,22 @@ def test_fem_non_finite_phi_or_u0_names_the_flag(root, iso_ckpt, capsys, flag):
                  "--runs-root", root, "--run", "fem-nan-" + flag[2:])
     assert rc == 2
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
+def test_fem_axis_without_phi_exits_2(root, iso_ckpt, capsys):
+    rc = run_cli("fem", "--model", iso_ckpt, "--d", "3.0,3.0", "--axis", "0,0,1",
+                 "--runs-root", root, "--run", "fem-axis-only")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "phi" in err and "axis p_raw" in err
+
+
+def test_fem_phi_without_axis_exits_2(root, iso_ckpt, capsys):
+    rc = run_cli("fem", "--model", iso_ckpt, "--d", "3.0,3.0", "--phi", "0.3",
+                 "--runs-root", root, "--run", "fem-phi-only")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "phi" in err and "axis p_raw" in err
 
 
 @pytest.mark.parametrize("case", ("missing", "shape"))
