@@ -413,6 +413,25 @@ def _fresh_model(resolved, n_design):
     return training.model_for_known_class(n_design, aniso_class, n1=n1, n2=n2, **net_kwargs)
 
 
+def _resume_model_keys(model, resolved, args):
+    """Set the [train] keys that choose the model to the resumed checkpoint's.
+
+    A flag that disagrees with the checkpoint is a usage error, not ignored.
+    """
+    stored = {key: getattr(model.net, key) for key in ("width_x", "width_y", "depth")}
+    fixed_class = model.aniso is None or model.aniso.alpha_bar is None
+    stored.update(mode=model.config.mode, gamma=model.config.gamma, direction=None, direction2=None,
+                  known_class=model.config.aniso_class if fixed_class else None)
+    for key, value in stored.items():
+        flag = getattr(args, f"train.{key}")
+        name = "--" + key.replace("_", "-")
+        if key == "known_class" and flag is not None:
+            flag = _class_name(flag, name)
+        if flag is not None and flag != value:
+            raise UsageError(f"{name} {flag} disagrees with the resumed checkpoint's {key} {value}")
+    resolved.update(stored)
+
+
 def _check_dataset(model, ds, what):
     """Reject a dataset of another generator class or design width than the checkpoint's."""
     trained_on = model.meta.get("data_class")
@@ -461,6 +480,7 @@ def cmd_train(args, run, sections):
                 f"raise --epochs past that to continue"
             )
         _check_dataset(model, ds, "dataset")
+        _resume_model_keys(model, resolved, args)
     else:
         model = _fresh_model(resolved, ds.D.shape[1])
         start_epoch = 0

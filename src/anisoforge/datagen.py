@@ -159,11 +159,7 @@ def sample_F_polar(n, stretch_bounds=(0.8, 1.45), seed=0):
     U01 = sampler.random(n)
     diag = lo + (hi - lo) * U01[:, :3]
     off = (hi - lo) * 0.5 * (2.0 * U01[:, 3:] - 1.0)
-    Usym = np.zeros((n, 3, 3))
-    Usym[:, 0, 0], Usym[:, 1, 1], Usym[:, 2, 2] = diag[:, 0], diag[:, 1], diag[:, 2]
-    Usym[:, 0, 1] = Usym[:, 1, 0] = off[:, 0]
-    Usym[:, 0, 2] = Usym[:, 2, 0] = off[:, 1]
-    Usym[:, 1, 2] = Usym[:, 2, 1] = off[:, 2]
+    Usym = tc.sym_from_6(np.hstack([diag, off]))
     lam, Q = np.linalg.eigh(Usym)
     lam = np.clip(lam, lo, hi)
     U = np.einsum("bik,bk,bjk->bij", Q, lam, Q)

@@ -113,6 +113,11 @@ class EnergyConfig:
     def n_active(self):
         return 4 + 2 * N_DIRECTIONS[self.aniso_class]
 
+    @property
+    def constrained(self):
+        """Whether the network keeps its x-path weights nonnegative (picnn's constrained)."""
+        return self.mode != "unconstrained"
+
 
 @dataclass
 class AnisotropyState:
@@ -165,6 +170,9 @@ class Model:
                 f"network invariant width {self.net.n_inv} does not match "
                 f"class {self.config.aniso_class!r} ({self.config.n_active})"
             )
+        if self.net.constrained != self.config.constrained:
+            raise ValueError(f"network constrained={self.net.constrained} contradicts "
+                             f"mode {self.config.mode!r}")
         if self.config.aniso_class != "iso" and self.aniso is None:
             raise ValueError("anisotropic classes require an AnisotropyState")
 
@@ -192,7 +200,7 @@ def new_model(
         width_x=width_x,
         width_y=width_y,
         depth=depth,
-        constrained=(mode != "unconstrained"),
+        constrained=cfg.constrained,
         seed=seed,
     )
     if aniso is None and aniso_class != "iso":

@@ -85,10 +85,6 @@ def softplus_sigmoid(z, sp=None, sig=None, tmp=None):
     return sp, t
 
 
-def softplus(z):
-    return softplus_sigmoid(np.asarray(z, dtype=float))[0]
-
-
 def sigmoid(z):
     return softplus_sigmoid(np.asarray(z, dtype=float))[1]
 

@@ -41,6 +41,9 @@ import numpy as np
 VOIGT = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 VOIGT_I = np.array([i for i, _ in VOIGT])
 VOIGT_J = np.array([j for _, j in VOIGT])
+# Voigt position of each component (i, j), the inverse of VOIGT
+_V9 = np.empty((3, 3), dtype=int)
+_V9[VOIGT_I, VOIGT_J] = _V9[VOIGT_J, VOIGT_I] = np.arange(6)
 VOIGT_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 EYE3 = np.eye(3)
 
@@ -53,23 +56,12 @@ DEFAULT_N2 = np.array([np.sqrt(2.0 / 3.0), -1.0 / np.sqrt(3.0), 0.0])
 def sym_to_6(T):
     """Pack a symmetric (..., 3, 3) tensor into (...,6) component order (11,22,33,12,13,23)."""
     T = np.asarray(T)
-    return np.stack(
-        [T[..., 0, 0], T[..., 1, 1], T[..., 2, 2], T[..., 0, 1], T[..., 0, 2], T[..., 1, 2]],
-        axis=-1,
-    )
+    return np.stack([T[..., i, j] for i, j in VOIGT], axis=-1)
 
 
 def sym_from_6(v):
     """Unpack a (..., 6) component vector into a full symmetric (..., 3, 3) tensor."""
-    v = np.asarray(v)
-    out = np.empty(v.shape[:-1] + (3, 3), dtype=v.dtype)
-    out[..., 0, 0] = v[..., 0]
-    out[..., 1, 1] = v[..., 1]
-    out[..., 2, 2] = v[..., 2]
-    out[..., 0, 1] = out[..., 1, 0] = v[..., 3]
-    out[..., 0, 2] = out[..., 2, 0] = v[..., 4]
-    out[..., 1, 2] = out[..., 2, 1] = v[..., 5]
-    return out
+    return np.take(np.asarray(v), _V9, axis=-1)
 
 
 def cofactor_sym(C):
@@ -372,10 +364,6 @@ def invariant_second_derivatives(C, Ns=()):
     C = np.asarray(C, dtype=float)
     M = curvature_66(C[..., None, :, :], np.eye(4 + 2 * len(Ns)), Ns)
     return tensor4_from_66(M)
-
-
-# Voigt position of each component (i, j)
-_V9 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
 def _outer66(A, B):

@@ -213,6 +213,44 @@ def test_train_divergence_exits_3(root, iso_dataset, iso_ckpt, tmp_path, capsys)
     assert (root / "diverge" / "checkpoints" / "diverged.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--width-x", "99"), ("--width-y", "7"), ("--depth", "3"), ("--mode", "unconstrained"),
+    ("--gamma", "0.5"), ("--known-class", "ortho"), ("--direction", "0,0,1"),
+    ("--direction2", "1,0,0"),
+])
+def test_train_resume_rejects_model_flags_that_disagree(root, iso_dataset, iso_ckpt, capsys,
+                                                        flag, value):
+    rc = run_cli("train", "--data", iso_dataset, "--runs-root", root, "--run", "resume-flag",
+                 "--resume", iso_ckpt, "--epochs", "50", flag, value)
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_train_resume_echoes_the_checkpoint_model(root, iso_dataset, iso_ckpt):
+    rc = run_cli("train", "--data", iso_dataset, "--runs-root", root, "--run", "resume-echo",
+                 "--resume", iso_ckpt, "--epochs", "42", "--known-class", "iso", "--gamma", "1.0")
+    assert rc == 0
+    echoed = configparser.ConfigParser()
+    echoed.read(root / "resume-echo" / "config" / "resolved.ini")
+    expected = {"width_x": "8", "width_y": "6", "depth": "2", "mode": "polyconvex",
+                "gamma": "1.0", "known_class": "iso"}
+    assert {k: echoed["train"][k] for k in expected} == expected
+    saved = energy.load_model(root / "resume-echo" / "checkpoints" / "model.json")
+    assert (saved.net.width_x, saved.net.depth, saved.config.mode) == (8, 2, "polyconvex")
+
+
+def test_checkpoint_constrained_contradicting_mode_exits_4(root, iso_ckpt, tmp_path, capsys):
+    payload = json.loads(iso_ckpt.read_text())
+    payload["architecture"]["constrained"] = False
+    edited = tmp_path / "unconstrained-polyconvex.json"
+    edited.write_text(json.dumps(payload))
+    rc = run_cli("fem", "--model", edited, "--d", "3.0,3.0", "--divisions", "2,1,1",
+                 "--runs-root", root, "--run", "contradiction")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "constrained" in err and "polyconvex" in err
+
+
 def test_train_missing_dataset_exits_4(root, capsys):
     rc = run_cli("train", "--data", "nowhere.txt", "--runs-root", root, "--run", "io")
     assert rc == 4
@@ -683,6 +721,17 @@ def test_config_value_outside_choices_exits_2(root, iso_ckpt, iso_dataset, tmp_p
                  "--runs-root", root, "--run", "cfg-choice")
     assert rc == 2
     assert "inverse.method" in capsys.readouterr().err
+
+
+def test_config_booleans_parse_off_and_reject_maybe(root, tmp_path, capsys):
+    cfg = tmp_path / "bools.ini"
+    cfg.write_text("[data]\nindependent_f = off\ndedupe = On\n")
+    assert cli.load_config(cfg) == {"data": {"independent_f": False, "dedupe": True}}
+    cfg.write_text("[data]\nmodel = neo-hookean\ndedupe = maybe\n")
+    rc = run_cli("gen-data", "--config", cfg, "--out", tmp_path / "d.txt",
+                 "--runs-root", root, "--run", "cfg-maybe")
+    assert rc == 2
+    assert "data.dedupe" in capsys.readouterr().err
 
 
 def test_table_defaults_match_library_defaults():

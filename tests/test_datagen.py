@@ -290,6 +290,21 @@ def test_load_rejects_record_count_mismatch(tmp_path):
         dg.load_dataset(path)
 
 
+def test_load_rejects_short_rows_and_non_finite_entries(tmp_path):
+    ds = dg.build_dataset(dg.DataConfig(aniso_class="iso", grid_points=2, n_f=4))
+    path = tmp_path / "set.txt"
+    dg.save_dataset(ds, path)
+    header, *rows = path.read_text().splitlines()
+    # every row one column short, so the file parses as a table of 13 columns
+    path.write_text("\n".join([header] + [r.rsplit(" ", 1)[0] for r in rows]) + "\n")
+    with pytest.raises(ValueError, match="expected 14 columns, found 13"):
+        dg.load_dataset(path)
+    rows[1] = "nan " + rows[1].split(" ", 1)[1]
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        dg.load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # isotropy probe
 

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -547,6 +548,28 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     p.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a model checkpoint"):
         energy.load_model(p)
+
+
+def test_checkpoint_rejects_unsupported_version(tmp_path):
+    path = tmp_path / "ckpt.json"
+    energy.save_model(tiny_model(), path)
+    payload = json.loads(path.read_text())
+    payload["version"] = energy.CHECKPOINT_VERSION + 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        energy.load_model(path)
+
+
+@pytest.mark.parametrize("mode", ["polyconvex", "nonpoly_linearC", "unconstrained"])
+def test_checkpoint_rejects_constrained_contradicting_mode(tmp_path, mode):
+    """A flipped constrained flag would drop (or impose) the convexity guarantee."""
+    path = tmp_path / "ckpt.json"
+    energy.save_model(tiny_model(mode), path)
+    payload = json.loads(path.read_text())
+    payload["architecture"]["constrained"] = not payload["architecture"]["constrained"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"constrained=.*contradicts mode '{mode}'"):
+        energy.load_model(path)
 
 
 def test_energy_config_rejects_non_finite_gamma():

@@ -36,6 +36,34 @@ def test_box_mesh_rejects_zero_divisions():
         fem.box_mesh((1.0, 1.0, 1.0), (0, 1, 1))
 
 
+def test_box_mesh_elements_follow_the_corner_table():
+    lengths, divisions = (3.0, 1.2, 0.5), (3, 2, 4)
+    mesh = fem.box_mesh(lengths, divisions)
+    Xe = mesh.nodes[mesh.elems]
+    cell = np.asarray(lengths) / divisions
+    assert np.allclose(Xe - Xe[:, :1], (fem.XI_NODES + 1.0) / 2.0 * cell, rtol=0.0, atol=1e-12)
+    # the elements are distinct cells
+    assert np.unique(Xe[:, 0], axis=0).shape[0] == np.prod(divisions)
+
+
+def test_stiffness_pattern_is_the_nonzero_set_of_the_element_dofs():
+    mesh = fem.box_mesh((3.0, 2.0, 1.0), (3, 2, 1))
+    quad = fem.precompute_quadrature(mesh)
+    indices, indptr = quad.k_pattern
+    assert indices.dtype == indptr.dtype == np.int32
+    E = mesh.elems.shape[0]
+    rows = np.broadcast_to(quad.edofs[:, :, None], (E, 24, 24)).ravel()
+    cols = np.broadcast_to(quad.edofs[:, None, :], (E, 24, 24)).ravel()
+    dense = np.zeros((mesh.n_dof, mesh.n_dof), dtype=int)
+    np.add.at(dense, (rows, cols), 1)
+    for c in range(mesh.n_dof):
+        assert np.array_equal(indices[indptr[c]:indptr[c + 1]], np.flatnonzero(dense[:, c]))
+    assert indptr[-1] == indices.size == np.count_nonzero(dense)
+    # each element entry's slot sits at that entry's row and column
+    assert np.array_equal(indices[quad.k_index], rows)
+    assert np.array_equal(np.searchsorted(indptr, quad.k_index, side="right") - 1, cols)
+
+
 def test_shape_functions_partition_of_unity():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -457,6 +485,16 @@ def test_invert_orientation_iso_is_insensitive():
     assert fit.insensitive
     assert fit.objective > 0.0
     assert fit.report()["insensitive"] is True
+
+
+def test_invert_orientation_raises_when_every_solve_fails():
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model = tiny_model("transiso", seed=9)
+    # one Newton iteration never reaches this tolerance, so every solve fails
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=1,
+                        tol=1e-300, max_iter=1, D=np.array([2.0, 4.0]))
+    with pytest.raises(RuntimeError, match="no finite values on the initial simplex"):
+        fem.invert_orientation(mesh, cfg, model, restarts=2, seed=14, max_evals=10)
 
 
 # ---------------------------------------------------------------------------

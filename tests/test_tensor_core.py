@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anisoforge import tensor_core as tc
 from util import rand_spd, rand_rotation, fd_grad_wrt_C, rel_err, default_structure_tensors
@@ -200,6 +201,24 @@ def test_sym6_round_trip_and_voigt_weights():
     full = np.einsum("bij,bij->b", A, B)
     packed = np.einsum("bk,bk->b", tc.sym_to_6(A) * tc.VOIGT_WEIGHTS, tc.sym_to_6(B))
     assert np.allclose(full, packed)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(A=hnp.arrays(float, st.tuples(st.integers(0, 3), st.just(3), st.just(3)),
+                    elements=st.floats(allow_nan=False)))
+def test_sym6_round_trip_is_exact(A):
+    S = np.where(np.triu(np.ones((3, 3), bool)), A, A.swapaxes(-1, -2))  # symmetric copy
+    v = tc.sym_to_6(S)
+    assert tc.sym_from_6(v).tobytes() == S.tobytes()
+    assert tc.sym_to_6(tc.sym_from_6(v)).tobytes() == v.tobytes()
+
+
+def test_sym_from_6_and_cofactor_return_c_contiguous_arrays():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((6, 4, 5)).transpose(1, 2, 0)  # a strided view
+    assert tc.sym_from_6(v).flags.c_contiguous
+    assert tc.sym_from_6(np.ascontiguousarray(v)).flags.c_contiguous
+    assert tc.cofactor_sym(rand_spd(rng, 20)).flags.c_contiguous
 
 
 def test_tensor4_66_round_trip_and_apply():
