@@ -416,19 +416,21 @@ def _fresh_model(resolved, n_design):
 def _resume_model_keys(model, resolved, args):
     """Set the [train] keys that choose the model to the resumed checkpoint's.
 
-    A flag that disagrees with the checkpoint is a usage error, not ignored.
+    A flag or config-file value that disagrees with the checkpoint is a usage error.
     """
     stored = {key: getattr(model.net, key) for key in ("width_x", "width_y", "depth")}
     fixed_class = model.aniso is None or model.aniso.alpha_bar is None
     stored.update(mode=model.config.mode, gamma=model.config.gamma, direction=None, direction2=None,
                   known_class=model.config.aniso_class if fixed_class else None)
+    in_file = args.file_config.get("train", {})
     for key, value in stored.items():
-        flag = getattr(args, f"train.{key}")
-        name = "--" + key.replace("_", "-")
-        if key == "known_class" and flag is not None:
-            flag = _class_name(flag, name)
-        if flag is not None and flag != value:
-            raise UsageError(f"{name} {flag} disagrees with the resumed checkpoint's {key} {value}")
+        given, name = getattr(args, f"train.{key}"), "--" + key.replace("_", "-")
+        if given is None:
+            given, name = in_file.get(key), f"[train] {key}"
+        if key == "known_class" and given is not None:
+            given = _class_name(given, name)
+        if given is not None and given != value:
+            raise UsageError(f"{name} {given} disagrees with the resumed checkpoint's {key} {value}")
     resolved.update(stored)
 
 
@@ -753,7 +755,7 @@ def main(argv=None):
         _apply_thread_cap(argv)
         args = build_parser().parse_args(argv)
         run = make_run_dir(args)
-        config = load_config(args.config) if args.config and args.sections else {}
+        config = args.file_config = load_config(args.config) if args.config and args.sections else {}
         sections = {section: resolve_section(section, args, config) for section in args.sections}
         args.func(args, run, sections)
         if sections:

@@ -12,11 +12,11 @@ quadrature points of all elements go to the constitutive model in one call
 per Newton iteration, which returns the stresses and the 6x6 tangent from
 a single network evaluation.
 
-K is sparse: its CSC pattern is built once per mesh and each assembly
-scatters the element matrices onto its slots. The free-dof block is
-factored by LAPACK's banded Cholesky after a reverse Cuthill-McKee
-reordering, whose band is planned once per solve; a K that is not
-positive definite falls back to a general sparse direct solve.
+K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
+on first use, and each assembly scatters the element matrices onto its
+slots. The free-dof block is factored by banded Cholesky after a reverse
+Cuthill-McKee reordering, whose band is planned once per solve; a K that
+is not positive definite falls back to a general sparse direct solve.
 
 The canned load case is a simply supported beam with a prescribed downward
 displacement on the midspan top face; the orientation inverse problem seeks
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -56,8 +57,14 @@ GAUSS_WEIGHTS = np.ones(8)
 
 @dataclass
 class HexMesh:
+    """Hexahedral mesh, not modified after construction: it holds its quadrature."""
+
     nodes: np.ndarray  # (n_nodes, 3) reference coordinates
     elems: np.ndarray  # (n_elems, 8) node indices
+
+    @cached_property
+    def quadrature(self):
+        return precompute_quadrature(self)
 
     @property
     def n_nodes(self):
@@ -133,36 +140,19 @@ def precompute_quadrature(mesh):
     invJ = np.linalg.inv(Jac)
     dNdX = np.einsum("qad,eqmd->eqam", dN_all, invJ)
     edofs = (3 * mesh.elems[:, :, None] + np.arange(3)).reshape(-1, 24)
-    k_index, k_pattern = _stiffness_pattern(mesh.elems, mesh.n_nodes)
+    k_index, k_pattern = _stiffness_pattern(edofs, mesh.n_dof)
     return QuadratureData(dNdX, detJ * GAUSS_WEIGHTS[None, :], edofs, k_index, k_pattern,
                           _voigt_gradients(dNdX))
 
 
-def _stiffness_pattern(elems, n_nodes):
-    """Slots of the element entries in K's CSC pattern, and the pattern.
-
-    Two nodes sharing an element couple all three components both ways, so
-    the pattern is the node adjacency with each node pair widened to a 3x3
-    block: node column J holding the c_J node rows I_0 < I_1 < ... from
-    node slot p_J on becomes the dof columns 3 J + j, whose rows 3 I_k + i
-    sit at slot 9 p_J + 3 c_J j + 3 k + i. Deduplicating node pairs rather
-    than dof pairs keeps the sort nine times smaller.
-    """
-    # node pair (row a, column b) of every element, keyed column-major
-    keys = elems[:, None, :] * n_nodes + elems[:, :, None]
-    pairs, node_slot = np.unique(keys, return_inverse=True)
-    col, row = np.divmod(pairs, n_nodes)
-    count = np.bincount(col, minlength=n_nodes)
-    start = np.concatenate([[0], np.cumsum(count)])
-    i3 = np.arange(3)
-    first = 9 * start[col] + 3 * (np.arange(pairs.size) - start[col])
-    slots = first[:, None, None] + (3 * count[col])[:, None, None] * i3[:, None] + i3  # (pair, j, i)
-    indices = np.empty(slots.size, dtype=np.int32)
-    indices[slots] = (3 * row)[:, None, None] + i3
-    indptr = np.append(9 * start[:-1, None] + 3 * count[:, None] * i3, slots.size)
-    # element entry (a, i, b, j) lies in column 3 n_b + j, row 3 n_a + i
-    k_index = slots[node_slot.reshape(keys.shape)].transpose(0, 1, 4, 2, 3)
-    return k_index.ravel(), (indices, indptr.astype(np.int32))
+def _stiffness_pattern(edofs, n_dof):
+    """Slots of the element entries in K's CSC pattern, and the pattern."""
+    # element entry (row edofs[e, r], column edofs[e, c]), keyed column-major
+    keys = edofs[:, None, :] * n_dof + edofs[:, :, None]
+    pattern, k_index = np.unique(keys, return_inverse=True)
+    col, row = np.divmod(pattern, n_dof)
+    indptr = np.searchsorted(col, np.arange(n_dof + 1))
+    return k_index.ravel(), (row.astype(np.int32), indptr.astype(np.int32))
 
 
 def deformation_gradients(mesh, quad, u):
@@ -306,7 +296,7 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     for name, count in (("n_steps", n_steps), ("max_iter", max_iter)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
-    quad = precompute_quadrature(mesh)
+    quad = mesh.quadrature
     plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
     free = plan.order
     u = np.zeros(mesh.n_dof)

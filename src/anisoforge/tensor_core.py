@@ -111,7 +111,7 @@ def c_workspace(C):
     """
     if isinstance(C, CWorkspace):
         return C
-    C = np.asarray(C, dtype=float)
+    C = np.ascontiguousarray(C, dtype=float)
     cof, det = _cofactor_det(C)
     return CWorkspace(C, cof, det, np.sqrt(det), cof / det[..., None, None])
 

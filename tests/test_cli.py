@@ -239,6 +239,33 @@ def test_train_resume_echoes_the_checkpoint_model(root, iso_dataset, iso_ckpt):
     assert (saved.net.width_x, saved.net.depth, saved.config.mode) == (8, 2, "polyconvex")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("width_x", "99"), ("width_y", "7"), ("depth", "3"), ("mode", "unconstrained"),
+    ("gamma", "0.5"), ("known_class", "ortho"), ("direction", "0,0,1"), ("direction2", "1,0,0"),
+])
+def test_train_resume_rejects_config_file_model_keys_that_disagree(root, iso_dataset, iso_ckpt,
+                                                                   tmp_path, capsys, key, value):
+    config = tmp_path / "resume.ini"
+    config.write_text(f"[train]\n{key} = {value}\n")
+    rc = run_cli("train", "--data", iso_dataset, "--runs-root", root, "--run", "resume-file",
+                 "--resume", iso_ckpt, "--epochs", "50", "--config", config)
+    assert rc == 2
+    assert f"[train] {key} " in capsys.readouterr().err
+
+
+def test_train_resume_accepts_config_file_model_keys_that_agree(root, iso_dataset, iso_ckpt,
+                                                                tmp_path):
+    config = tmp_path / "resume.ini"
+    config.write_text("[train]\nwidth_x = 8\nwidth_y = 6\ndepth = 2\nmode = polyconvex\n"
+                      "gamma = 1.0\nknown_class = iso\n")
+    rc = run_cli("train", "--data", iso_dataset, "--runs-root", root, "--run", "resume-file-ok",
+                 "--resume", iso_ckpt, "--epochs", "42", "--config", config)
+    assert rc == 0
+    echoed = configparser.ConfigParser()
+    echoed.read(root / "resume-file-ok" / "config" / "resolved.ini")
+    assert (echoed["train"]["width_x"], echoed["train"]["mode"]) == ("8", "polyconvex")
+
+
 def test_checkpoint_constrained_contradicting_mode_exits_4(root, iso_ckpt, tmp_path, capsys):
     payload = json.loads(iso_ckpt.read_text())
     payload["architecture"]["constrained"] = False

@@ -153,6 +153,20 @@ def test_workspace_input_matches_array_input():
                           tc.invariants(C, m.aniso.structure()[:2]))
 
 
+def test_result_does_not_depend_on_the_memory_layout_of_C():
+    rng = np.random.default_rng(29)
+    m = energy.new_model(2, mode="polyconvex", aniso_class="ortho", width_x=24, width_y=16,
+                         depth=3, seed=5)
+    C = rand_spd(rng, 300)
+    strided = np.zeros((300, 3, 6))
+    strided[:, :, ::2] = C
+    d = np.array([2.0, 4.0])
+    for f in (energy.psi, energy.stress, energy.tangent):
+        expected = f(m, C, d)
+        for other in (np.asfortranarray(C), strided[:, :, ::2]):
+            assert np.array_equal(f(m, other, d), expected), f.__name__
+
+
 def test_assemble_strain_displacement_is_the_public_formula():
     mesh = fem.box_mesh((1.0, 1.0, 1.0), (2, 1, 1))
     quad = fem.precompute_quadrature(mesh)
@@ -405,6 +419,23 @@ def test_call_counts_invert_orientation_objective(monkeypatch):
     fit = fem.invert_orientation(mesh, cfg, m, restarts=2)
     assert np.isfinite(fit.objective)
     assert per_eval == [["structure_tensors", "solve_displacement"]] * 2
+
+
+def test_invert_orientation_builds_the_quadrature_once(monkeypatch):
+    m = model_for("polyconvex", "transiso")
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig((2.0, 1.0, 1.0), (2, 1, 1), u0=0.01, n_steps=1, D=np.array([2.0, 3.0]))
+    calls = {"precompute_quadrature": 0, "solve_displacement": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(fem, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    fit = fem.invert_orientation(mesh, cfg, m, restarts=2, max_evals=8)
+    assert np.isfinite(fit.objective)
+    # every restart solves at least its five initial simplex vertices
+    assert calls["solve_displacement"] >= 10 and calls["precompute_quadrature"] == 1
 
 
 def test_call_counts_loss_and_param_gradients():

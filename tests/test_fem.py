@@ -1,5 +1,6 @@
 """Mesh, quadrature, assembly consistency, Newton solves, orientation fit."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -424,6 +425,29 @@ def test_solve_static_beam_bends():
     mid_top = np.intersect1d(fem.face_nodes(mesh, 2, 1.0), fem.face_nodes(mesh, 0, 2.0))
     assert np.allclose(res.u[mid_top, 2], -0.05, atol=1e-12)
     assert fem.von_mises_max(res) > 0.0
+
+
+def test_mesh_quadrature_is_the_precomputed_quadrature():
+    mesh = fem.box_mesh((3.0, 2.0, 1.0), (3, 2, 1))
+    held, fresh = mesh.quadrature, fem.precompute_quadrature(mesh)
+    assert mesh.quadrature is held
+    for f in dataclasses.fields(fem.QuadratureData):
+        a, b = getattr(held, f.name), getattr(fresh, f.name)
+        for x, y in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def test_repeated_solves_on_one_mesh_match_a_fresh_mesh():
+    model = tiny_model("transiso", seed=9)
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=2,
+                        D=np.array([2.0, 4.0]))
+    mesh = fem.box_mesh(cfg.lengths, cfg.divisions)
+    first, second = fem.solve_static(mesh, cfg, model), fem.solve_static(mesh, cfg, model)
+    fresh = fem.solve_static(fem.box_mesh(cfg.lengths, cfg.divisions), cfg, model)
+    for state in (first, second):
+        for name in ("u", "F", "S", "reactions"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+        assert state.newton_norms == fresh.newton_norms
 
 
 def test_fem_config_validation():
