@@ -56,7 +56,9 @@ normalization_coefficients build a throwaway one; make_workspace adds the
 training data; design inversion holds one tiled_workspace per candidate
 count (C repeated per design, group = repeat(arange(G), B)) and passes it
 to stress_per_design every generation, where a structure override may
-hold one tensor per design.
+hold one tensor per design; a Newton solve in fem holds one for its
+quadrature points and refills it (Workspace.refill) with each
+iteration's C.
 
 The sample rows I(C) and one reference row Iref per design go through a
 single network call whose design path runs once per design. psi, stress,
@@ -367,24 +369,52 @@ class _Evaluation:
 
     def tangent(self, with_sn=True):
         """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
-        B, n = self.Iu.shape
-        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=self.ws.cache,
-                              group=self.ws.rows)[:B]
-        H[:, 2, 2] += growth_curvature(self.ws.J, self.model.config.gamma)
-        B6 = tc.sym_to_6(self.Bu) * self.scale[:, None]
-        M = np.matmul(B6.transpose(0, 2, 1), np.matmul(H, B6))
-        M += tc.curvature_66(self.ws, self.coefficients(with_sn) * self.scale, self.row_Ns)
-        M *= 4.0
+        M = np.empty((self.Iu.shape[0], 6, 6))
+        for b, Mb in self.tangent_blocks(max(len(M), 1), with_sn):
+            M[b] = Mb
         return M
 
+    def tangent_blocks(self, rows, with_sn=True):
+        """The 6x6 tangent of each block of `rows` sample rows, in turn: (slice, M) pairs.
 
-def _evaluate(model, C, D, structure=None, check=False):
+        The network Hessian is taken once for every row, in the cache's
+        buffers: its matrix products run over the whole batch, and
+        splitting them moves last bits. Every term past it is per row, so
+        B6, H B6 and M live in block-sized buffers of the workspace, which
+        the next block overwrites.
+        """
+        ws = self.ws
+        B, n = self.Iu.shape
+        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=ws.cache, group=ws.rows)[:B]
+        H[:, 2, 2] += growth_curvature(ws.J, self.model.config.gamma)
+        size = min(B, rows)
+        if ws.tangent_buffers is None or ws.tangent_buffers[0].shape != (size, n, 6):
+            ws.tangent_buffers = (np.empty((size, n, 6)), np.empty((size, n, 6)), np.empty((size, 6, 6)))
+        B6, HB6, M = ws.tangent_buffers
+        c = self.coefficients(with_sn) * self.scale
+        for r in range(0, B, rows):
+            b, k = slice(r, r + rows), min(rows, B - r)
+            B6b = tc.sym_to_6(self.Bu[b], out=B6[:k])
+            B6b *= self.scale[:, None]
+            Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]), out=M[:k])
+            Mb += tc.curvature_66(tc.CWorkspace(ws.C[b], ws.cof[b], ws.det[b], ws.J[b], ws.Cinv[b]),
+                                  c[b], tuple(N if N.ndim == 2 else N[b] for N in self.row_Ns))
+            Mb *= 4.0
+            yield b, Mb
+
+
+def _evaluate(model, C, D, structure=None, check=False, ws=None):
     """(_Evaluation, single) of a one-shot call, on a throwaway Workspace.
 
     C is a (3, 3) or (B, 3, 3) array or a CWorkspace; D holds one design
-    row per C or a single row shared by all of them.
+    row per C or a single row shared by all of them. ws, if given, is the
+    Workspace of an earlier call on as many C and the same D, which takes
+    the (B, 3, 3) array C in place of its own (Workspace.refill), so a
+    caller whose C changes on every call reuses its buffers.
     """
-    if isinstance(C, tc.CWorkspace):
+    if ws is not None:
+        cw, single = ws.refill(C), False
+    elif isinstance(C, tc.CWorkspace):
         cw, single = C, False
     else:
         C = np.asarray(C, dtype=float)
@@ -393,8 +423,8 @@ def _evaluate(model, C, D, structure=None, check=False):
             tc.check_metric(C)
         cw = tc.c_workspace(C.reshape(-1, 3, 3))
     uD, group = _designs(_check_design(model, D), cw.C.shape[0])
-    return _Evaluation(model, _workspace(cw, group, uD.shape[0]), uD,
-                       _resolve_structure(model, structure)), single
+    ws = _workspace(cw, group, uD.shape[0]) if ws is None else ws
+    return _Evaluation(model, ws, uD, _resolve_structure(model, structure)), single
 
 
 def normalization_coefficients(model, D, structure=None):
@@ -476,10 +506,16 @@ class Workspace(tc.CWorkspace):
     weights and ``scatter``, the (G, B) matrix that sums rows per design.
 
     Buffers, overwritten by each evaluation: ``cache``, the picnn cache
-    holding the network's x path, and ``Bu``, the (B, n, 3, 3) basis stack,
-    whose four isotropic slots are computed once from C and whose
-    anisotropic slots are rewritten for the current structure tensors. No
-    array a public function returns aliases either.
+    holding the network's x path and hess_inputs' buffers; ``Bu``, the (B,
+    n, 3, 3) basis stack, whose four isotropic slots are computed once from
+    C and whose anisotropic slots are rewritten for the current structure
+    tensors; and ``tangent_buffers``, one block of the packed bases B6, of
+    H B6 and of the 6x6 tangent, made by the first tangent. No array a
+    public function returns aliases any of them.
+
+    refill overwrites the C-workspace and Bu's isotropic slots with those of
+    new metrics, so one Workspace serves a sequence of C (the iterations of
+    a Newton solve) without allocating them again.
     """
 
     group: np.ndarray
@@ -490,12 +526,20 @@ class Workspace(tc.CWorkspace):
     scatter: object = None
     cache: object = None
     Bu: np.ndarray | None = None
+    tangent_buffers: tuple | None = None
 
     def invariant_bases(self, Ns):
         """tc.invariant_bases of the samples for the active tensors Ns, in the Bu buffer."""
         fresh = self.Bu is None or self.Bu.shape[1] != 4 + 2 * len(Ns)
         self.Bu = tc.invariant_bases(self, Ns) if fresh else tc.anisotropic_bases(self, Ns, self.Bu)
         return self.Bu
+
+    def refill(self, C):
+        """Take the (B, 3, 3) metrics C in place of the samples' own, in the buffers; returns self."""
+        tc.c_workspace(C, out=self)
+        if self.Bu is not None:
+            tc.isotropic_bases(self, self.Bu)
+        return self
 
 
 def _workspace(cw, group, n_designs, **data):

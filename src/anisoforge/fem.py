@@ -8,9 +8,12 @@ residual with the consistent tangent
 
 assembled per element in Voigt form as sum_q w_q (B^T CC66 B + geometric
 term), with B the 6x24 strain-displacement matrix of F and dN/dX. All
-quadrature points of all elements go to the constitutive model in one call
-per Newton iteration, which returns the stresses and the 6x6 tangent from
-a single network evaluation.
+quadrature points of all elements go to the constitutive model in one
+network evaluation per Newton iteration, which gives the stresses and the
+residual. The tangent is read off the same evaluation only when the
+residual check fails, just before the linear solve, so the iteration
+that confirms convergence builds none. The assemblies of one solve share
+one AssemblyWorkspace, whose buffers each of them overwrites.
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
@@ -53,6 +56,8 @@ XI_NODES = np.array(
 )
 GAUSS_POINTS = XI_NODES / np.sqrt(3.0)
 GAUSS_WEIGHTS = np.ones(8)
+# elements per block of the tangent's B^T CC66 B products
+ELEMENT_BLOCK = 32
 
 
 @dataclass
@@ -189,54 +194,106 @@ def _voigt_gradients(dNdX):
     return h * dNdX[..., tc.VOIGT_I].swapaxes(-1, -2), h * dNdX[..., tc.VOIGT_J].swapaxes(-1, -2)
 
 
-def _strain_displacement(F, gM, gN):
+def _strain_displacement(F, gM, gN, out=None, scratch=None):
+    """B of strain_displacement from _voigt_gradients' (gM, gN); out and
+    scratch, if given, are (..., 6, 24) arrays, out receiving B."""
     FM = F[..., tc.VOIGT_I].swapaxes(-1, -2)  # (..., 6, 3)
     FN = F[..., tc.VOIGT_J].swapaxes(-1, -2)
-    Bm = gM[..., :, None] * FN[..., None, :] + gN[..., :, None] * FM[..., None, :]
+    shape = gM.shape + (3,)
+    Bm = np.multiply(gM[..., :, None], FN[..., None, :], out=None if out is None else out.reshape(shape))
+    Bm += np.multiply(gN[..., :, None], FM[..., None, :],
+                      out=None if scratch is None else scratch.reshape(shape))
     return Bm.reshape(Bm.shape[:-2] + (24,))
 
 
-def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True):
-    """Internal-force residual and tangent for the current displacement.
+@dataclass
+class AssemblyWorkspace:
+    """What the assemblies of one solve share, each overwriting it.
 
-    The element stiffness is
+    ``energy`` is the energy.Workspace of the quadrature points: their
+    C-workspace, the network cache (with hess_inputs' Jacobians and
+    Hessian), the basis stack and one block of 6x6 tangents. ``Bv``,
+    ``WMB`` and ``Ke`` are the tangent phase's buffers, made by its first
+    call. ``ev``, ``F`` and ``S`` are the evaluation, deformation gradients
+    and stresses of the last residual phase, which the tangent phase reads.
+    No array assemble returns aliases a buffer, so a solve's result
+    survives the next solve.
+    """
+
+    energy: object = None
+    ev: object = None
+    F: np.ndarray | None = None
+    S: np.ndarray | None = None
+    Bv: np.ndarray | None = None
+    WMB: np.ndarray | None = None
+    Ke: np.ndarray | None = None
+
+
+def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, workspace=None):
+    """Internal-force residual and (with_tangent) tangent for the current displacement.
+
+    The residual phase forms F and C, evaluates the constitutive model
+    once (one network pass) for S and sums the internal forces. The
+    tangent phase (_tangent) reads that same evaluation for the 6x6
+    tangent, builds B and the element matrices and scatters them onto K's
+    pattern. The element stiffness is
 
         K_e = sum_q w_q [ B^T CC66 B + (dN S dN^T) (x) I_3 ],
 
     with dN the (8, 3) shape gradients, B from strain_displacement and CC66
-    the 6x6 tangent. Each sum over the quadrature points is one batched
-    matmul over the elements.
+    the 6x6 tangent. Each sum over the quadrature points is one matmul per
+    element.
+
+    workspace is an AssemblyWorkspace that the assemblies of one solve
+    share, with the same model, D and structure; each assembly overwrites
+    its buffers, and the Newton loop calls _tangent on it only before a
+    linear solve. None gives a throwaway one.
     """
     E, Q = quad.wdetJ.shape
-    F = deformation_gradients(mesh, quad, u)
+    aw = AssemblyWorkspace() if workspace is None else workspace
+    aw.ev = None  # the last evaluation's arrays go before the next is built
+    aw.F = F = deformation_gradients(mesh, quad, u)
     Fb = F.reshape(E * Q, 3, 3)
-    Cb = np.einsum("bki,bkj->bij", Fb, Fb)
-    if with_tangent:
-        Sb, M66 = energy.tangent(model, Cb, D, structure=structure, return_stress=True)
-    else:
-        Sb = energy.stress(model, Cb, D, structure=structure)
-    S = Sb.reshape(E, Q, 3, 3)
+    aw.ev, _ = energy._evaluate(model, np.einsum("bki,bkj->bij", Fb, Fb), D, structure,
+                                ws=aw.energy)
+    aw.energy = aw.ev.ws
+    aw.S = S = aw.ev.stress().reshape(E, Q, 3, 3)
 
     P = np.einsum("eqik,eqkm->eqim", F, S)
     fe = np.einsum("eq,eqim,eqam->eai", quad.wdetJ, P, quad.dNdX)
     residual = np.bincount(quad.edofs.ravel(), weights=fe.ravel(), minlength=mesh.n_dof)
+    return AssemblyResult(residual, _tangent(mesh, quad, aw) if with_tangent else None, F, S)
 
-    if not with_tangent:
-        return AssemblyResult(residual, None, F, S)
 
+def _tangent(mesh, quad, aw):
+    """K at the last residual phase on aw, built in aw's buffers.
+
+    The 6x6 tangents and B^T CC66 B run over blocks of ELEMENT_BLOCK
+    elements, each element one matmul, so Bv and WMB hold one block and Ke
+    every element.
+    """
+    E, Q = quad.wdetJ.shape
+    if aw.Ke is None:
+        block = (min(E, ELEMENT_BLOCK), Q, 6, 24)
+        aw.Bv, aw.WMB, aw.Ke = np.empty(block), np.empty(block), np.empty((E, 24, 24))
     w = quad.wdetJ[:, :, None, None]
-    Bv = _strain_displacement(F, *quad.voigt_grads)  # (E, Q, 6, 24)
-    WMB = w * np.matmul(M66.reshape(E, Q, 6, 6), Bv)
-    Ke = np.matmul(Bv.reshape(E, Q * 6, 24).transpose(0, 2, 1), WMB.reshape(E, Q * 6, 24))
-    WSg = w * np.matmul(quad.dNdX, S)  # (E, Q, 8, 3)
+    gM, gN = quad.voigt_grads
+    for rows, M66 in aw.ev.tangent_blocks(Q * ELEMENT_BLOCK):
+        b, n = slice(rows.start // Q, rows.stop // Q), M66.shape[0] // Q
+        Bv = _strain_displacement(aw.F[b], gM[b], gN[b], out=aw.Bv[:n], scratch=aw.WMB[:n])
+        WMB = np.matmul(M66.reshape(n, Q, 6, 6), Bv, out=aw.WMB[:n])
+        WMB *= w[b]
+        np.matmul(Bv.reshape(n, Q * 6, 24).transpose(0, 2, 1), WMB.reshape(n, Q * 6, 24), out=aw.Ke[b])
+    Ke = aw.Ke
+    WSg = w * np.matmul(quad.dNdX, aw.S)  # (E, Q, 8, 3)
     G = np.matmul(WSg.transpose(0, 2, 1, 3).reshape(E, 8, Q * 3),
                   quad.dNdX.transpose(0, 1, 3, 2).reshape(E, Q * 3, 8))
     Ke = Ke.reshape(E, 8, 3, 8, 3)
-    Ke += G[:, :, None, :, None] * np.eye(3)[:, None, :]
+    for i in range(3):  # the geometric term, G (x) I_3
+        Ke[:, :, i, :, i] += G
     indices, indptr = quad.k_pattern
     data = np.bincount(quad.k_index, weights=Ke.ravel(), minlength=indices.size)
-    K = scipy.sparse.csc_array((data, indices, indptr), shape=(mesh.n_dof, mesh.n_dof))
-    return AssemblyResult(residual, K, F, S)
+    return scipy.sparse.csc_array((data, indices, indptr), shape=(mesh.n_dof, mesh.n_dof))
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +359,19 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     u = np.zeros(mesh.n_dof)
     norms_per_step = []
     last = None
+    aw = AssemblyWorkspace()
     for step in range(1, n_steps + 1):
         u[bc_dofs] = bc_values * (step / n_steps)
         norms = []
         for it in range(max_iter):
-            last = assemble(mesh, quad, model, D, u, structure=structure)
+            last = assemble(mesh, quad, model, D, u, structure=structure, with_tangent=False,
+                            workspace=aw)
             r_f = last.residual[free]
             norm = float(np.max(np.abs(r_f))) if free.size else 0.0
             norms.append(norm)
             if norm < tol:
                 break
-            u[free] += plan.solve(last.K, -r_f)
+            u[free] += plan.solve(_tangent(mesh, quad, aw), -r_f)
         else:
             raise RuntimeError(f"Newton did not converge in load step {step} "
                                f"after {max_iter} iterations (residual {norms[-1]:.3e})")
@@ -324,8 +383,10 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
 class BandPlan:
     """LAPACK upper band storage of K's free block in reverse Cuthill-McKee order.
 
-    The band holds a[r, c] for r <= c <= r + bandwidth at flat position
-    (bandwidth + r - c) * n_free + c, r and c counted in `order`.
+    The (bandwidth + 1, n_free) band holds a[r, c] for r <= c <= r +
+    bandwidth in row bandwidth + r - c and column c, r and c counted in
+    `order`. It is stored column-major, as LAPACK reads it, at flat
+    position c (bandwidth + 1) + bandwidth + r - c.
     """
 
     order: np.ndarray  # (n_free,) free dofs, reordered to narrow the band
@@ -334,16 +395,16 @@ class BandPlan:
     dest: np.ndarray  # their flat positions in the band
 
     def band(self, K):
-        ab = np.zeros((self.bandwidth + 1) * self.order.size)
-        ab[self.dest] = K.data[self.src]
-        return ab.reshape(self.bandwidth + 1, self.order.size)
+        ab = np.zeros((self.order.size, self.bandwidth + 1))
+        ab.reshape(-1)[self.dest] = K.data[self.src]
+        return ab.T
 
     def solve(self, K, b):
         """x with K[order][:, order] x = b: banded Cholesky, or a general
         sparse direct solve with a warning when the block is not positive
-        definite."""
+        definite. The Cholesky factor overwrites the band."""
         try:
-            cb = scipy.linalg.cholesky_banded(self.band(K))
+            cb = scipy.linalg.cholesky_banded(self.band(K), overwrite_ab=True)
         except np.linalg.LinAlgError:
             warnings.warn("global stiffness is not positive definite; "
                           "continuing with a general direct solve")
@@ -373,7 +434,7 @@ def band_plan(quad, free):
     rows, cols = position[rows], position[cols]
     upper = rows <= cols
     bandwidth = int(np.max(cols - rows, initial=0))
-    dest = (bandwidth + rows[upper] - cols[upper]) * free.size + cols[upper]
+    dest = cols[upper] * (bandwidth + 1) + bandwidth + rows[upper] - cols[upper]
     return BandPlan(order, bandwidth, src[upper], dest)
 
 

@@ -41,15 +41,16 @@ group; backprop sums their adjoints back over the rows of each group.
 Buffers. The x path is the only batch-sized work, and every (B, width_x)
 array of it lives in a buffer owned by the cache of the call (``_Cache``):
 the pre-activations, their softplus and sigmoid, the gradient pass's s and
-d, backprop's adjoints and its unwind temporaries, and the group scatter
-matrix. A fresh call allocates them with np.empty. value_and_grad takes a
-previous cache as ``out``, in numpy's out= idiom, and writes into its
-buffers when the batch and the architecture match, so a caller that
-evaluates one batch shape repeatedly (a training epoch) allocates no
-batch-sized array after its first call. Like numpy's out=, the psi and
-gradient value_and_grad returns are views into the cache and change when
-that cache is passed back; backprop's dtheta and dX are always fresh
-arrays and never alias a buffer.
+d, backprop's adjoints and its unwind temporaries, hess_inputs' transposed
+Jacobians and Hessian, and the group scatter matrix. A fresh call
+allocates them with np.empty. value_and_grad takes a previous cache as
+``out``, in numpy's out= idiom, and writes into its buffers when the batch
+and the architecture match, so a caller that evaluates one batch shape
+repeatedly (a training epoch, a Newton solve) allocates no batch-sized
+array after its first call. Like numpy's out=, the psi and gradient
+value_and_grad returns and the Hessian hess_inputs returns for a passed
+cache are views into the cache and change when that cache is used again;
+backprop's dtheta and dX are always fresh arrays and never alias a buffer.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+
+
+# rows per block of hess_inputs' per-row curvature products
+HESS_ROWS = 256
 
 
 def softplus_sigmoid(z, sp=None, sig=None, tmp=None):
@@ -191,13 +196,16 @@ class _Cache:
     width_x); d[0] is (B, n_inv), d[1:L] are (B, width_x) and d[L] is a
     broadcast view of w; psi is (B,). back holds backprop's buffers, made by
     its first backprop: the L adjoints dz and the adjoints dXs[1:] of Xs[1:].
+    hess holds hess_inputs' buffers, made by its first call: two transposed
+    Jacobians (B, n_inv, width_x), the Hessian (B, n_inv, n_inv) and one
+    block of HESS_ROWS curvature products.
     scatter is the (group, matrix) pair backprop sums design-path adjoints
     with, rebuilt only when the group changes. The design path (Ys, su) has
     G rows and is allocated per call.
     """
 
     __slots__ = ("shape", "X", "Y", "Xs", "Ys", "su", "sz", "A", "w", "psi",
-                 "d", "s", "g", "z", "tmp", "back", "scatter")
+                 "d", "s", "g", "z", "tmp", "back", "hess", "scatter")
 
     def __init__(self, shape):
         B, n, wx, L = self.shape = shape
@@ -206,7 +214,7 @@ class _Cache:
         self.d = [np.empty((B, n))] + [np.empty((B, wx)) for _ in range(L - 1)] + [None]
         self.psi = np.empty(B)
         self.z, self.tmp = np.empty((B, wx)), np.empty((B, wx))
-        self.back = self.scatter = None
+        self.back = self.hess = self.scatter = None
 
 
 def _forward(params, X, Y, group=None, out=None):
@@ -288,24 +296,44 @@ def hess_inputs(params, X, Y, cache=None, group=None):
     which costs O(B wx n_inv (wx + n_inv)) rather than the O(B wx^3) of a
     backward recursion on (wx, wx) curvature matrices. A cache from
     value_and_grad(..., return_cache=True) on the same inputs may be passed
-    to skip recomputing the forward and gradient passes.
+    to skip recomputing the forward and gradient passes; the Hessian is then
+    computed in the cache's buffers and returned as a view into them.
     """
     X, Y, group = _check_inputs(params, X, Y, group)
     c = cache if cache is not None else _grad_pass(params, _forward(params, X, Y, group))
     B, n = X.shape
+    wx = params.width_x
+    if c.hess is None:
+        c.hess = (np.empty((B, n, wx)), np.empty((B, n, wx)), np.empty((B, n, n)),
+                  np.empty((min(B, HESS_ROWS), n, n)))
+    # Jacobians are kept transposed, (B, n_inv, wx), so A_h applies as one GEMM;
+    # the forward pass's scratch z and tmp hold sp''(z_h) delta_{h+1}
+    JxT, JzT, H, P = c.hess
+    coef, t = c.tmp, c.z
     A0 = c.A[0]
     # first layer: Jz_0 = A_0 is shared by every row
-    coef = c.d[1] * c.sz[0] * (1.0 - c.sz[0])
-    H = (coef @ (A0[:, :, None] * A0[:, None, :]).reshape(A0.shape[0], n * n)).reshape(B, n, n)
-    # Jacobians are kept transposed, (B, n_inv, wx), so A_h applies as one GEMM
-    JxT = c.sz[0][:, None, :] * np.ascontiguousarray(A0.T)
+    np.multiply(c.d[1], c.sz[0], out=coef)
+    coef *= np.subtract(1.0, c.sz[0], out=t)
+    np.matmul(coef, (A0[:, :, None] * A0[:, None, :]).reshape(wx, n * n), out=H.reshape(B, n * n))
+    np.multiply(c.sz[0][:, None, :], A0.T, out=JxT)
     for h in range(1, params.depth):
-        JzT = (JxT.reshape(B * n, -1) @ c.A[h].T).reshape(B, n, -1)
+        np.matmul(JxT.reshape(B * n, wx), c.A[h].T, out=JzT.reshape(B * n, wx))
         sp1 = c.sz[h]
-        coef = c.d[h + 1] * sp1 * (1.0 - sp1)
-        H += np.matmul(JzT, (coef[:, None, :] * JzT).transpose(0, 2, 1))
-        JxT = sp1[:, None, :] * JzT
-    return 0.5 * (H + H.transpose(0, 2, 1))
+        np.multiply(c.d[h + 1], sp1, out=coef)
+        coef *= np.subtract(1.0, sp1, out=t)
+        # JxT is free until the next layer's Jacobian overwrites it; each
+        # row's product is its own matmul, so blocks of rows share P
+        W = np.multiply(coef[:, None, :], JzT, out=JxT)
+        for r in range(0, B, HESS_ROWS):
+            b, k = slice(r, r + HESS_ROWS), min(HESS_ROWS, B - r)
+            H[b] += np.matmul(JzT[b], W[b].transpose(0, 2, 1), out=P[:k])
+        np.multiply(sp1[:, None, :], JzT, out=JxT)
+    # (H + H^T) / 2 in place, each pair i <= j summed once for both entries
+    i, j = np.triu_indices(n)
+    sym = H[:, i, j] + H[:, j, i]
+    sym *= 0.5
+    H[:, i, j] = H[:, j, i] = sym
+    return H
 
 
 def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None):

@@ -53,10 +53,13 @@ DEFAULT_N1 = np.array([1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0), 0.0])
 DEFAULT_N2 = np.array([np.sqrt(2.0 / 3.0), -1.0 / np.sqrt(3.0), 0.0])
 
 
-def sym_to_6(T):
-    """Pack a symmetric (..., 3, 3) tensor into (...,6) component order (11,22,33,12,13,23)."""
+def sym_to_6(T, out=None):
+    """Pack a symmetric (..., 3, 3) tensor into (...,6) component order (11,22,33,12,13,23).
+
+    out, if given, is a (..., 6) array that receives the result.
+    """
     T = np.asarray(T)
-    return np.stack([T[..., i, j] for i, j in VOIGT], axis=-1)
+    return np.stack([T[..., i, j] for i, j in VOIGT], axis=-1, out=out)
 
 
 def sym_from_6(v):
@@ -64,17 +67,18 @@ def sym_from_6(v):
     return np.take(np.asarray(v), _V9, axis=-1)
 
 
-def cofactor_sym(C):
+def cofactor_sym(C, out=None):
     """Cofactor matrix of a symmetric (..., 3, 3) tensor via 2x2 minors.
 
     For symmetric input the cofactor matrix equals the adjugate and is itself
     symmetric. Written componentwise so it stays finite and accurate for
-    near-singular input, where forming det(C) * inv(C) would not.
+    near-singular input, where forming det(C) * inv(C) would not. out, if
+    given, is an array of C's shape that receives the result.
     """
     C = np.asarray(C)
     c00, c11, c22 = C[..., 0, 0], C[..., 1, 1], C[..., 2, 2]
     c01, c02, c12 = C[..., 0, 1], C[..., 0, 2], C[..., 1, 2]
-    out = np.empty_like(C)
+    out = np.empty_like(C) if out is None else out
     out[..., 0, 0] = c11 * c22 - c12 * c12
     out[..., 1, 1] = c00 * c22 - c02 * c02
     out[..., 2, 2] = c00 * c11 - c01 * c01
@@ -84,10 +88,10 @@ def cofactor_sym(C):
     return out
 
 
-def _cofactor_det(C):
-    """(cof(C), det(C)), the determinant expanded along the first row."""
+def _cofactor_det(C, cof=None):
+    """(cof(C), det(C)), the determinant expanded along the first row; cof as for cofactor_sym's out."""
     C = np.asarray(C)
-    cof = cofactor_sym(C)
+    cof = cofactor_sym(C, cof)
     det = C[..., 0, 0] * cof[..., 0, 0] + C[..., 0, 1] * cof[..., 0, 1] + C[..., 0, 2] * cof[..., 0, 2]
     return cof, det
 
@@ -103,17 +107,26 @@ class CWorkspace:
     Cinv: np.ndarray
 
 
-def c_workspace(C):
+def c_workspace(C, out=None):
     """CWorkspace of C, built from one cofactor evaluation; a CWorkspace passes through.
 
     invariants, invariant_bases and curvature_66 accept either C or its
     CWorkspace, so a caller holding C fixed computes the cofactors once.
+    out, if given, is the CWorkspace of as many metrics, whose arrays are
+    overwritten with those of C; a caller whose C changes in place of the
+    old (one per Newton iteration) then allocates none of them.
     """
     if isinstance(C, CWorkspace):
         return C
-    C = np.ascontiguousarray(C, dtype=float)
-    cof, det = _cofactor_det(C)
-    return CWorkspace(C, cof, det, np.sqrt(det), cof / det[..., None, None])
+    if out is None:
+        C = np.ascontiguousarray(C, dtype=float)
+        cof, det = _cofactor_det(C)
+        return CWorkspace(C, cof, det, np.sqrt(det), cof / det[..., None, None])
+    np.copyto(out.C, C)
+    out.det[...] = _cofactor_det(out.C, out.cof)[1]
+    np.sqrt(out.det, out=out.J)
+    np.divide(out.cof, out.det[..., None, None], out=out.Cinv)
+    return out
 
 
 def det_sym(C):
@@ -304,16 +317,24 @@ def invariant_bases(C, Ns=()):
     once more to shed roundoff asymmetry.
     """
     w = c_workspace(C)
+    out = np.empty(w.C.shape[:-2] + (4 + 2 * len(Ns), 3, 3))
+    return anisotropic_bases(w, Ns, isotropic_bases(w, out))
+
+
+def isotropic_bases(C, out):
+    """Write B1 to B4 of invariant_bases into slots 0 to 3 of out; returns out.
+
+    out is an (..., 4 + 2 len(Ns), 3, 3) stack; its anisotropic slots are
+    left as they are.
+    """
+    w = c_workspace(C)
     C, J, Cinv = w.C, w.J, w.Cinv
-    shp = C.shape[:-2]
     I1 = C[..., 0, 0] + C[..., 1, 1] + C[..., 2, 2]
-    eye = np.broadcast_to(EYE3, shp + (3, 3))
-    out = np.empty(shp + (4 + 2 * len(Ns), 3, 3))
-    out[..., 0, :, :] = eye
-    out[..., 1, :, :] = I1[..., None, None] * eye - C
+    out[..., 0, :, :] = EYE3
+    out[..., 1, :, :] = I1[..., None, None] * EYE3 - C
     out[..., 2, :, :] = 0.5 * J[..., None, None] * Cinv
     out[..., 3, :, :] = -J[..., None, None] * Cinv
-    return anisotropic_bases(w, Ns, out)
+    return out
 
 
 def anisotropic_bases(C, Ns, out):

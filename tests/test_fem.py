@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anisoforge import energy, fem, training
+from anisoforge import energy, fem, picnn, training
 from anisoforge import tensor_core as tc
 
 
@@ -178,6 +179,62 @@ def test_tangent_matches_fd_multi_element_with_structure_override():
         col = (rp - rm) / (2 * h)
         scale = max(np.abs(col).max(), 1e-12)
         assert np.max(np.abs(col - out.K[:, d])) / scale < 1e-4, d
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(energy.MODES),
+    aniso_class=st.sampled_from(energy.CLASSES),
+    seed=st.integers(0, 2**16),
+    divisions=st.sampled_from([(1, 1, 1), (2, 1, 1)]),
+    amplitude=st.floats(0.01, 0.05),
+)
+def test_residual_is_the_gradient_of_the_total_potential(mode, aniso_class, seed, divisions, amplitude):
+    """The assembled residual equals the central-difference gradient of
+    Pi(u) = sum_q w_q psi(C_q(u)), dof by dof.
+
+    psi subtracts the network's reference energy, so each value carries
+    an absolute roundoff near 1e-16 that the difference divides by h: the
+    relative error grows as the displacement shrinks, to about 5e-7 at an
+    amplitude of 0.01."""
+    mesh = fem.box_mesh((float(divisions[0]), 1.0, 1.0), divisions)
+    quad = fem.precompute_quadrature(mesh)
+    model = energy.new_model(2, mode=mode, aniso_class=aniso_class, width_x=8, width_y=6, depth=2,
+                             seed=seed)
+    D = np.array([2.0, 3.0])
+    u = amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.n_dof)
+
+    def potential(v):
+        F = fem.deformation_gradients(mesh, quad, v).reshape(-1, 3, 3)
+        return quad.wdetJ.ravel() @ energy.psi(model, np.einsum("bki,bkj->bij", F, F), D)
+
+    residual = fem.assemble(mesh, quad, model, D, u, with_tangent=False).residual
+    h = 1e-6
+    grad = np.empty(mesh.n_dof)
+    for d in range(mesh.n_dof):
+        up, um = u.copy(), u.copy()
+        up[d] += h
+        um[d] -= h
+        grad[d] = (potential(up) - potential(um)) / (2 * h)
+    assert np.max(np.abs(residual - grad)) <= 1e-5 * np.max(np.abs(residual))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(energy.MODES),
+    aniso_class=st.sampled_from(energy.CLASSES),
+    seed=st.integers(0, 2**16),
+    divisions=st.sampled_from([(1, 1, 1), (2, 1, 1)]),
+    amplitude=st.floats(0.0, 0.05),
+)
+def test_assembled_stiffness_is_symmetric(mode, aniso_class, seed, divisions, amplitude):
+    mesh = fem.box_mesh((float(divisions[0]), 1.0, 1.0), divisions)
+    quad = fem.precompute_quadrature(mesh)
+    model = energy.new_model(2, mode=mode, aniso_class=aniso_class, width_x=8, width_y=6, depth=2,
+                             seed=seed)
+    u = amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.n_dof)
+    K = fem.assemble(mesh, quad, model, np.array([2.0, 3.0]), u).K.toarray()
+    assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
 
 
 def test_strain_displacement_matches_fd_of_green_strain():
@@ -448,6 +505,54 @@ def test_repeated_solves_on_one_mesh_match_a_fresh_mesh():
         for name in ("u", "F", "S", "reactions"):
             assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
         assert state.newton_norms == fresh.newton_norms
+
+
+def test_newton_builds_a_tangent_only_before_a_linear_solve(monkeypatch):
+    """One network Hessian per Newton update and none for a converged
+    check; the residual phase alone, and an assembly on a workspace that
+    an assembly at another displacement used, give a fresh full
+    assembly's results bit for bit."""
+    model = tiny_model("transiso", seed=9)
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    D = np.array([2.0, 4.0])
+    bc_dofs, bc_values = fem.stretch_bc(mesh, 1.05)
+    calls = []
+
+    def counted(*args, _inner=picnn.hess_inputs, **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(picnn, "hess_inputs", counted)
+    res = fem.solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=2)
+    assert len(res.newton_norms) == 2
+    assert len(calls) == sum(len(norms) - 1 for norms in res.newton_norms) > 0
+
+    quad = mesh.quadrature
+    u = res.u.ravel() + 0.01 * np.random.default_rng(31).standard_normal(mesh.n_dof)
+    full = fem.assemble(mesh, quad, model, D, u)
+    lazy = fem.assemble(mesh, quad, model, D, u, with_tangent=False)
+    workspace = fem.AssemblyWorkspace()
+    fem.assemble(mesh, quad, model, D, res.u.ravel(), workspace=workspace)
+    reused = fem.assemble(mesh, quad, model, D, u, workspace=workspace)
+    assert lazy.K is None
+    assert np.array_equal(reused.K.data, full.K.data)
+    for name in ("residual", "F", "S"):
+        assert np.array_equal(getattr(lazy, name), getattr(full, name)), name
+        assert np.array_equal(getattr(reused, name), getattr(full, name)), name
+
+
+def test_successive_solves_share_no_memory():
+    """A solve's held buffers never reach its result, so the next solve
+    on the same mesh cannot overwrite it."""
+    model = tiny_model("transiso", seed=9)
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=2,
+                        D=np.array([2.0, 4.0]))
+    mesh = fem.box_mesh(cfg.lengths, cfg.divisions)
+    first, second = fem.solve_static(mesh, cfg, model), fem.solve_static(mesh, cfg, model)
+    names = ("u", "F", "S", "reactions")
+    for a in names:
+        for b in names:
+            assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
 
 
 def test_fem_config_validation():
