@@ -370,18 +370,19 @@ class _Evaluation:
     def tangent(self, with_sn=True):
         """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
         M = np.empty((self.Iu.shape[0], 6, 6))
-        for b, Mb in self.tangent_blocks(max(len(M), 1), with_sn):
-            M[b] = Mb
+        for _ in self.tangent_blocks(picnn.HESS_ROWS, with_sn, out=M):
+            pass  # each block is written into M
         return M
 
-    def tangent_blocks(self, rows, with_sn=True):
+    def tangent_blocks(self, rows, with_sn=True, out=None):
         """The 6x6 tangent of each block of `rows` sample rows, in turn: (slice, M) pairs.
 
         The network Hessian is taken once for every row, in the cache's
         buffers: its matrix products run over the whole batch, and
         splitting them moves last bits. Every term past it is per row, so
         B6, H B6 and M live in block-sized buffers of the workspace, which
-        the next block overwrites.
+        the next block overwrites. out, if given, is a (B, 6, 6) array that
+        takes each block's M in place of the block buffer.
         """
         ws = self.ws
         B, n = self.Iu.shape
@@ -396,7 +397,8 @@ class _Evaluation:
             b, k = slice(r, r + rows), min(rows, B - r)
             B6b = tc.sym_to_6(self.Bu[b], out=B6[:k])
             B6b *= self.scale[:, None]
-            Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]), out=M[:k])
+            Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]),
+                           out=M[:k] if out is None else out[b])
             Mb += tc.curvature_66(tc.CWorkspace(ws.C[b], ws.cof[b], ws.det[b], ws.J[b], ws.Cinv[b]),
                                   c[b], tuple(N if N.ndim == 2 else N[b] for N in self.row_Ns))
             Mb *= 4.0

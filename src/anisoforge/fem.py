@@ -13,7 +13,7 @@ network evaluation per Newton iteration, which gives the stresses and the
 residual. The tangent is read off the same evaluation only when the
 residual check fails, just before the linear solve, so the iteration
 that confirms convergence builds none. The assemblies of one solve share
-one AssemblyWorkspace, whose buffers each of them overwrites.
+one workspace, whose buffers each of them overwrites.
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
@@ -207,29 +207,26 @@ def _strain_displacement(F, gM, gN, out=None, scratch=None):
 
 
 @dataclass
-class AssemblyWorkspace:
+class _AssemblyWorkspace:
     """What the assemblies of one solve share, each overwriting it.
 
     ``energy`` is the energy.Workspace of the quadrature points: their
     C-workspace, the network cache (with hess_inputs' Jacobians and
-    Hessian), the basis stack and one block of 6x6 tangents. ``Bv``,
-    ``WMB`` and ``Ke`` are the tangent phase's buffers, made by its first
-    call. ``ev``, ``F`` and ``S`` are the evaluation, deformation gradients
-    and stresses of the last residual phase, which the tangent phase reads.
-    No array assemble returns aliases a buffer, so a solve's result
-    survives the next solve.
+    Hessian), the basis stack and one block of 6x6 tangents. ``ev`` is the
+    evaluation of the last residual phase, which the tangent phase reads.
+    ``Bv``, ``WMB`` and ``Ke`` are the tangent phase's buffers, made by its
+    first call. No array assemble returns aliases a buffer, so a solve's
+    result survives the next solve.
     """
 
     energy: object = None
     ev: object = None
-    F: np.ndarray | None = None
-    S: np.ndarray | None = None
     Bv: np.ndarray | None = None
     WMB: np.ndarray | None = None
     Ke: np.ndarray | None = None
 
 
-def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, workspace=None):
+def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, _workspace=None):
     """Internal-force residual and (with_tangent) tangent for the current displacement.
 
     The residual phase forms F and C, evaluates the constitutive model
@@ -244,29 +241,29 @@ def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, workspa
     the 6x6 tangent. Each sum over the quadrature points is one matmul per
     element.
 
-    workspace is an AssemblyWorkspace that the assemblies of one solve
-    share, with the same model, D and structure; each assembly overwrites
-    its buffers, and the Newton loop calls _tangent on it only before a
-    linear solve. None gives a throwaway one.
+    _workspace is solve_displacement's _AssemblyWorkspace, which the
+    assemblies of one solve share, with the same model, D and structure;
+    each assembly overwrites its buffers, and the Newton loop calls
+    _tangent on it only before a linear solve. None gives a throwaway one.
     """
     E, Q = quad.wdetJ.shape
-    aw = AssemblyWorkspace() if workspace is None else workspace
+    aw = _AssemblyWorkspace() if _workspace is None else _workspace
     aw.ev = None  # the last evaluation's arrays go before the next is built
-    aw.F = F = deformation_gradients(mesh, quad, u)
+    F = deformation_gradients(mesh, quad, u)
     Fb = F.reshape(E * Q, 3, 3)
     aw.ev, _ = energy._evaluate(model, np.einsum("bki,bkj->bij", Fb, Fb), D, structure,
                                 ws=aw.energy)
     aw.energy = aw.ev.ws
-    aw.S = S = aw.ev.stress().reshape(E, Q, 3, 3)
+    S = aw.ev.stress().reshape(E, Q, 3, 3)
 
     P = np.einsum("eqik,eqkm->eqim", F, S)
     fe = np.einsum("eq,eqim,eqam->eai", quad.wdetJ, P, quad.dNdX)
     residual = np.bincount(quad.edofs.ravel(), weights=fe.ravel(), minlength=mesh.n_dof)
-    return AssemblyResult(residual, _tangent(mesh, quad, aw) if with_tangent else None, F, S)
+    return AssemblyResult(residual, _tangent(mesh, quad, aw, F, S) if with_tangent else None, F, S)
 
 
-def _tangent(mesh, quad, aw):
-    """K at the last residual phase on aw, built in aw's buffers.
+def _tangent(mesh, quad, aw, F, S):
+    """K at the last residual phase on aw, whose F and S are given, built in aw's buffers.
 
     The 6x6 tangents and B^T CC66 B run over blocks of ELEMENT_BLOCK
     elements, each element one matmul, so Bv and WMB hold one block and Ke
@@ -280,12 +277,12 @@ def _tangent(mesh, quad, aw):
     gM, gN = quad.voigt_grads
     for rows, M66 in aw.ev.tangent_blocks(Q * ELEMENT_BLOCK):
         b, n = slice(rows.start // Q, rows.stop // Q), M66.shape[0] // Q
-        Bv = _strain_displacement(aw.F[b], gM[b], gN[b], out=aw.Bv[:n], scratch=aw.WMB[:n])
+        Bv = _strain_displacement(F[b], gM[b], gN[b], out=aw.Bv[:n], scratch=aw.WMB[:n])
         WMB = np.matmul(M66.reshape(n, Q, 6, 6), Bv, out=aw.WMB[:n])
         WMB *= w[b]
         np.matmul(Bv.reshape(n, Q * 6, 24).transpose(0, 2, 1), WMB.reshape(n, Q * 6, 24), out=aw.Ke[b])
     Ke = aw.Ke
-    WSg = w * np.matmul(quad.dNdX, aw.S)  # (E, Q, 8, 3)
+    WSg = w * np.matmul(quad.dNdX, S)  # (E, Q, 8, 3)
     G = np.matmul(WSg.transpose(0, 2, 1, 3).reshape(E, 8, Q * 3),
                   quad.dNdX.transpose(0, 1, 3, 2).reshape(E, Q * 3, 8))
     Ke = Ke.reshape(E, 8, 3, 8, 3)
@@ -359,19 +356,19 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     u = np.zeros(mesh.n_dof)
     norms_per_step = []
     last = None
-    aw = AssemblyWorkspace()
+    aw = _AssemblyWorkspace()
     for step in range(1, n_steps + 1):
         u[bc_dofs] = bc_values * (step / n_steps)
         norms = []
         for it in range(max_iter):
             last = assemble(mesh, quad, model, D, u, structure=structure, with_tangent=False,
-                            workspace=aw)
+                            _workspace=aw)
             r_f = last.residual[free]
             norm = float(np.max(np.abs(r_f))) if free.size else 0.0
             norms.append(norm)
             if norm < tol:
                 break
-            u[free] += plan.solve(_tangent(mesh, quad, aw), -r_f)
+            u[free] += plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
         else:
             raise RuntimeError(f"Newton did not converge in load step {step} "
                                f"after {max_iter} iterations (residual {norms[-1]:.3e})")

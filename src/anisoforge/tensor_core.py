@@ -88,11 +88,17 @@ def cofactor_sym(C, out=None):
     return out
 
 
-def _cofactor_det(C, cof=None):
-    """(cof(C), det(C)), the determinant expanded along the first row; cof as for cofactor_sym's out."""
+def _cofactor_det(C, cof=None, det=None):
+    """(cof(C), det(C)), the determinant expanded along the first row.
+
+    cof is as for cofactor_sym's out; det, if given, is an array of C's
+    batch shape that receives the determinant.
+    """
     C = np.asarray(C)
     cof = cofactor_sym(C, cof)
-    det = C[..., 0, 0] * cof[..., 0, 0] + C[..., 0, 1] * cof[..., 0, 1] + C[..., 0, 2] * cof[..., 0, 2]
+    det = np.multiply(C[..., 0, 0], cof[..., 0, 0], out=det)
+    det += C[..., 0, 1] * cof[..., 0, 1]
+    det += C[..., 0, 2] * cof[..., 0, 2]
     return cof, det
 
 
@@ -120,10 +126,11 @@ def c_workspace(C, out=None):
         return C
     if out is None:
         C = np.ascontiguousarray(C, dtype=float)
-        cof, det = _cofactor_det(C)
-        return CWorkspace(C, cof, det, np.sqrt(det), cof / det[..., None, None])
-    np.copyto(out.C, C)
-    out.det[...] = _cofactor_det(out.C, out.cof)[1]
+        batch = C.shape[:-2]
+        out = CWorkspace(C, np.empty_like(C), np.empty(batch), np.empty(batch), np.empty_like(C))
+    else:
+        np.copyto(out.C, C)
+    _cofactor_det(out.C, out.cof, out.det)
     np.sqrt(out.det, out=out.J)
     np.divide(out.cof, out.det[..., None, None], out=out.Cinv)
     return out

@@ -531,9 +531,9 @@ def test_newton_builds_a_tangent_only_before_a_linear_solve(monkeypatch):
     u = res.u.ravel() + 0.01 * np.random.default_rng(31).standard_normal(mesh.n_dof)
     full = fem.assemble(mesh, quad, model, D, u)
     lazy = fem.assemble(mesh, quad, model, D, u, with_tangent=False)
-    workspace = fem.AssemblyWorkspace()
-    fem.assemble(mesh, quad, model, D, res.u.ravel(), workspace=workspace)
-    reused = fem.assemble(mesh, quad, model, D, u, workspace=workspace)
+    workspace = fem._AssemblyWorkspace()
+    fem.assemble(mesh, quad, model, D, res.u.ravel(), _workspace=workspace)
+    reused = fem.assemble(mesh, quad, model, D, u, _workspace=workspace)
     assert lazy.K is None
     assert np.array_equal(reused.K.data, full.K.data)
     for name in ("residual", "F", "S"):
