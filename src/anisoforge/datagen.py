@@ -217,6 +217,18 @@ class DataConfig:
     dedupe: bool = False
     dedupe_tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.aniso_class not in DEFAULT_GRIDS:
+            raise ValueError(f"unknown anisotropy class {self.aniso_class!r}, expected one of "
+                             f"{', '.join(DEFAULT_GRIDS)}")
+        if self.sampler not in ("lhs", "polar"):
+            raise ValueError(f"unknown sampler {self.sampler!r}, expected lhs or polar")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be at least 1, got {self.grid_points}")
+        # a chained comparison, False for NaN
+        if not 0.0 <= self.dedupe_tol < np.inf:
+            raise ValueError(f"dedupe_tol must be finite and nonnegative, got {self.dedupe_tol}")
+
 
 @dataclass
 class Dataset:
@@ -255,9 +267,7 @@ def build_dataset(cfg):
     def draw(seed):
         if cfg.sampler == "lhs":
             return sample_F_lhs(cfg.n_f, cfg.delta, seed)
-        if cfg.sampler == "polar":
-            return sample_F_polar(cfg.n_f, cfg.stretch_bounds, seed)
-        raise ValueError(f"unknown sampler {cfg.sampler!r}")
+        return sample_F_polar(cfg.n_f, cfg.stretch_bounds, seed)
 
     shared = None if cfg.independent_f else draw(cfg.seed)
     D_rows, C_rows, S_rows = [], [], []

@@ -40,6 +40,16 @@ def _as_bounds(bounds, n):
     return b
 
 
+def _check_settings(finite=(), not_nan=()):
+    """Raise ValueError for a (name, value) of finite that is not finite, or of not_nan that is NaN."""
+    for name, v in finite:
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    for name, v in not_nan:
+        if v is not None and np.isnan(v):
+            raise ValueError(f"{name} must not be NaN")
+
+
 def _per_row(f):
     """A scalar objective f(x) as a batched one, (k, n) -> k values."""
     return lambda X: [f(x) for x in X]
@@ -92,6 +102,7 @@ def cma_es(f, x0, sigma0, bounds=None, max_evals=20000, f_target=None,
     obj = _repair_and_penalize(f if vectorized else _per_row(f), bounds)
     rng = np.random.default_rng(seed)
 
+    _check_settings(not_nan=(("tol_x", tol_x), ("f_target", f_target)))
     sigma = float(sigma0)
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma0 must be finite and non-negative, got {sigma0}")
@@ -199,6 +210,12 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
         return fx[0], vx[0]
 
     step = np.broadcast_to(np.asarray(step, dtype=float), (n,))
+    # a zero edge is right only along an axis the bounds pin (lo == hi)
+    if not np.all(np.isfinite(step)) or np.any((step == 0.0) & (bounds[:, 0] < bounds[:, 1])):
+        raise ValueError(f"step must be finite, and nonzero on every axis the bounds leave free, got {step}")
+    _check_settings(finite=(("reflection", reflection), ("expansion", expansion),
+                            ("contraction", contraction), ("shrink", shrink), ("tol", tol)),
+                    not_nan=(("f_target", f_target),))
 
     simplex = np.vstack([x0] + [x0 + step[i] * np.eye(n)[i] for i in range(n)])
     n_evals = min(n + 1, max_evals)

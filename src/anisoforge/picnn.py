@@ -50,13 +50,14 @@ repeatedly (a training epoch, a Newton solve) allocates no batch-sized
 array after its first call. Like numpy's out=, the psi and gradient
 value_and_grad returns and the Hessian hess_inputs returns for a passed
 cache are views into the cache and change when that cache is used again;
-backprop's dtheta and dX are always fresh arrays and never alias a buffer.
+backprop's dX and dtheta (views of one vector) are fresh and alias no buffer.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -103,6 +104,7 @@ class PicnnParams:
       Wxx{h} (wx, n_inv|wx),   Wxy{h} (wx, wy), bx{h} (wx,)
       wout (wx,), bout (1,)
     Wxx*/wout are free parameters; constrained mode squares them on use.
+    Every flat parameter vector (weight_views) follows weight_shapes() order.
     """
 
     n_inv: int
@@ -145,27 +147,25 @@ def init_params(n_inv, n_design, width_x=40, width_y=30, depth=3, constrained=Tr
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
+
+    def draw(shape, squared=False):
+        s = np.sqrt(shape[-1])
+        if squared and constrained:
+            # realized weights raw^2 land in U(0.09, 1)/fan_in
+            return rng.uniform(0.3, 1.0, size=shape) / s
+        return rng.uniform(-1.0 / s, 1.0 / s, size=shape)
+
+    # insertion order (the checkpoint's key order) follows the draws
     w = {}
     for h in range(depth):
         in_y = n_design if h == 0 else width_y
         in_x = n_inv if h == 0 else width_x
-        a = 1.0 / np.sqrt(in_y)
-        w[f"Wyy{h}"] = rng.uniform(-a, a, size=(width_y, in_y))
+        w[f"Wyy{h}"] = draw((width_y, in_y))
         w[f"by{h}"] = np.zeros(width_y)
-        if constrained:
-            # realized weights raw^2 land in U(0.09, 1)/fan_in
-            w[f"Wxx{h}"] = rng.uniform(0.3, 1.0, size=(width_x, in_x)) / np.sqrt(in_x)
-        else:
-            a = 1.0 / np.sqrt(in_x)
-            w[f"Wxx{h}"] = rng.uniform(-a, a, size=(width_x, in_x))
-        a = 1.0 / np.sqrt(width_y)
-        w[f"Wxy{h}"] = rng.uniform(-a, a, size=(width_x, width_y))
+        w[f"Wxx{h}"] = draw((width_x, in_x), squared=True)
+        w[f"Wxy{h}"] = draw((width_x, width_y))
         w[f"bx{h}"] = np.zeros(width_x)
-    if constrained:
-        w["wout"] = rng.uniform(0.3, 1.0, size=width_x) / np.sqrt(width_x)
-    else:
-        a = 1.0 / np.sqrt(width_x)
-        w["wout"] = rng.uniform(-a, a, size=width_x)
+    w["wout"] = draw((width_x,), squared=True)
     w["bout"] = np.zeros(1)
     return PicnnParams(n_inv, n_design, width_x, width_y, depth, constrained, w)
 
@@ -345,7 +345,8 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
 
     A cache from value_and_grad(..., return_cache=True) on the same inputs
     may be passed to skip recomputing the forward and gradient passes. The
-    adjoints are computed in the cache's buffers; dtheta and dX are fresh.
+    adjoints are computed in the cache's buffers; dX is fresh, and dtheta
+    is weight_views of one fresh vector, each gradient accumulated in place.
     """
     X, Y, group = _check_inputs(params, X, Y, group)
     L = params.depth
@@ -367,12 +368,8 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
                 c.scatter[0], group):
             c.scatter = (group.copy(), group_scatter(group, Y.shape[0]))
         scatter = c.scatter[1]
-    dA = [np.zeros_like(c.A[h]) for h in range(L)]
-    dWxy = [None] * L
-    dbx = [None] * L
+    g = weight_views(params)
     dYs = [np.zeros_like(c.Ys[h]) for h in range(L + 1)]
-    dw = np.zeros_like(c.w)
-    dbout = 0.0
 
     if seed_grad is not None:
         # unwind the gradient recursion d_h = (sp'(z_h) * d_{h+1}) A_h
@@ -380,19 +377,19 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
         for h in range(L):
             sp1 = c.sz[h]
             ds = np.matmul(dd, c.A[h].T, out=t1)
-            dA[h] += c.s[h].T @ dd
+            g[f"Wxx{h}"] += c.s[h].T @ dd
             # dz_h = sp1 (1 - sp1) d_{h+1} ds
             np.multiply(sp1, np.subtract(1.0, sp1, out=dz[h]), out=dz[h])
             dz[h] *= c.d[h + 1]
             dz[h] *= ds
             dd = np.multiply(sp1, ds, out=t2)
-        dw += dd.sum(axis=0)
+        g["wout"] += dd.sum(axis=0)
 
     if seed_val is not None:
         sv = np.asarray(seed_val, dtype=float)
         np.multiply(sv[:, None], c.w[None, :], out=dXs[L])
-        dw += sv @ c.Xs[L]
-        dbout += sv.sum()
+        g["wout"] += sv @ c.Xs[L]
+        g["bout"] += sv.sum()
     else:
         dXs[L].fill(0.0)
 
@@ -402,56 +399,52 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
         else:
             dz_h = dz[h]
             dz_h += np.multiply(c.sz[h], dXs[h + 1], out=t1)
-        dA[h] += dz_h.T @ c.Xs[h]
+        g[f"Wxx{h}"] += dz_h.T @ c.Xs[h]
         if h:
             np.matmul(dz_h, c.A[h], out=dXs[h])
         else:
             dX = dz_h @ c.A[0]
         if scatter is not None:
             dz_h = scatter @ dz_h
-        dWxy[h] = dz_h.T @ c.Ys[h + 1]
+        g[f"Wxy{h}"] += dz_h.T @ c.Ys[h + 1]
         dYs[h + 1] += dz_h @ params.weights[f"Wxy{h}"]
-        dbx[h] = dz_h.sum(axis=0)
+        g[f"bx{h}"] += dz_h.sum(axis=0)
 
-    dtheta = {}
     for h in range(L - 1, -1, -1):
         du = c.su[h] * dYs[h + 1]
-        dtheta[f"Wyy{h}"] = du.T @ c.Ys[h]
-        dtheta[f"by{h}"] = du.sum(axis=0)
+        g[f"Wyy{h}"] += du.T @ c.Ys[h]
+        g[f"by{h}"] += du.sum(axis=0)
         dYs[h] += du @ params.weights[f"Wyy{h}"]
 
-    for h in range(L):
-        if params.constrained:
-            dtheta[f"Wxx{h}"] = 2.0 * params.weights[f"Wxx{h}"] * dA[h]
-        else:
-            dtheta[f"Wxx{h}"] = dA[h]
-        dtheta[f"Wxy{h}"] = dWxy[h]
-        dtheta[f"bx{h}"] = dbx[h]
     if params.constrained:
-        dtheta["wout"] = 2.0 * params.weights["wout"] * dw
-    else:
-        dtheta["wout"] = dw
-    dtheta["bout"] = np.array([dbout])
-    return dtheta, dX
+        # chain through the squares A_h = Wxx_h ** 2 and w = wout ** 2
+        for name in [f"Wxx{h}" for h in range(L)] + ["wout"]:
+            g[name] *= 2.0 * params.weights[name]
+    return g, dX
+
+
+def weight_views(params, vec=None):
+    """Name -> views of vec (by default fresh zeros) in weight_shapes() order: the one layout."""
+    shapes = params.weight_shapes()
+    if vec is None:
+        vec = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, end = {}, 0
+    for name, shape in shapes.items():
+        start, end = end, end + math.prod(shape)
+        views[name] = vec[start:end].reshape(shape)
+    return views
 
 
 def flatten(params):
-    """Concatenate all weights into one vector (sorted key order); returns (vec, unflatten)."""
-    keys = sorted(params.weights.keys())
-    vec = np.concatenate([params.weights[k].ravel() for k in keys])
+    """All weights as one vector in weight_shapes() order; returns (vec, unflatten)."""
+    vec = flatten_grads(params, params.weights)
 
     def unflatten(v):
-        out = params.copy()
-        off = 0
-        for k in keys:
-            n = params.weights[k].size
-            out.weights[k] = v[off : off + n].reshape(params.weights[k].shape).copy()
-            off += n
-        return out
+        return replace(params, weights={k: w.copy() for k, w in weight_views(params, v).items()})
 
     return vec, unflatten
 
 
 def flatten_grads(params, dtheta):
-    keys = sorted(params.weights.keys())
-    return np.concatenate([np.asarray(dtheta[k]).ravel() for k in keys])
+    """A name -> array dict (gradients or weights) as one vector in weight_shapes() order."""
+    return np.concatenate([np.asarray(dtheta[k]).ravel() for k in params.weight_shapes()])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import energy
+from . import energy, picnn
 from . import tensor_core as tc
 
 ACTIVE_THRESHOLD = 0.5
@@ -77,7 +77,7 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Standard Adam over a name -> array parameter dict, updates in place."""
+    """Standard Adam over a name -> array dict, in place; a vector steps as its slices would."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -137,8 +137,13 @@ def _alpha_penalty(aniso, weight, p):
 
 
 def _trainable_params(model):
-    """Name -> array views of everything the optimizer updates in place."""
-    params = {"net." + k: v for k, v in model.net.weights.items()}
+    """Name -> array views of everything the optimizer updates in place.
+
+    "net" packs the weights into one vector whose views replace the arrays
+    of model.net.weights, key order kept.
+    """
+    params = {"net": picnn.flatten(model.net)[0]}
+    model.net.weights.update(picnn.weight_views(model.net, params["net"]))
     aniso = model.aniso
     if aniso is not None:
         if aniso.trainable_alpha and aniso.alpha_bar is not None:
@@ -162,11 +167,11 @@ def component_weights(S):
 def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, optimizer=None):
     """Fit the model to (D, C, S) triples with full-batch Adam.
 
-    Mutates and returns the model. history records the loss every epoch and
-    the activity/orientation trajectory every log_every epochs. To resume,
-    pass start_epoch and the optimizer from the previous segment; stop_epoch
-    ends a segment early without changing the warmup schedule, which is tied
-    to cfg.epochs.
+    Mutates and returns the model; its weights become views of the vector Adam
+    steps. history records the loss every epoch and the activity/orientation
+    trajectory every log_every epochs. To resume, pass start_epoch and the
+    optimizer from the previous segment; stop_epoch ends a segment early
+    without changing the warmup schedule, which is tied to cfg.epochs.
     """
     t0 = time.perf_counter()
     last = cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)
@@ -190,7 +195,7 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch, snapshot[1], history)
             history["loss"].append(total)
-            grads = {"net." + k: v for k, v in out.dnet.items()}
+            grads = {"net": picnn.flatten_grads(model.net, out.dnet)}
             if "alpha_bar" in params:
                 grads["alpha_bar"] = out.dalpha_bar + dpen
             if "phi" in params:

@@ -79,6 +79,13 @@ def test_gen_data_grid_rank_mismatch(root, capsys):
     assert "2 design parameters" in capsys.readouterr().err
 
 
+def test_gen_data_nan_dedupe_tol_exits_2(root, capsys):
+    rc = run_cli("gen-data", "--model", "neo-hookean", "--dedupe", "--dedupe-tol", "nan",
+                 "--runs-root", root, "--run", "bad")
+    assert rc == 2
+    assert "dedupe_tol must be finite" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli()
@@ -423,6 +430,19 @@ def test_invert_zero_restarts_exits_2(root, iso_ckpt, iso_dataset, capsys):
     assert rc == 2
     assert "restarts" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--method", "nelder-mead", "--step", "nan"], "step"),
+    (["--method", "nelder-mead", "--reflection", "nan"], "reflection"),
+    (["--tol-x", "nan"], "tol_x"),
+    (["--f-target", "nan"], "f_target"),
+])
+def test_invert_bad_optimizer_setting_exits_2(root, iso_ckpt, iso_dataset, capsys, flags, field):
+    rc = run_cli("invert", "--model", iso_ckpt, "--data", iso_dataset, "--restarts", "1",
+                 "--max-evals", "20", *flags, "--runs-root", root, "--run", "inv-bad")
+    assert rc == 2
+    assert field in capsys.readouterr().err
 
 # ---------------------------------------------------------------------------
 # FE commands

@@ -195,6 +195,25 @@ def test_default_grid_ranges():
     assert pts[:, 2].min() == 2.0 and pts[:, 2].max() == 6.0
 
 
+
+@pytest.mark.parametrize("setting, match", [
+    ({"aniso_class": "foo"}, "unknown anisotropy class 'foo'"),
+    ({"sampler": "sobol"}, "unknown sampler 'sobol'"),
+    ({"grid_points": 0}, "grid_points must be at least 1"),
+    ({"dedupe_tol": np.nan}, "dedupe_tol must be finite"),
+    ({"dedupe_tol": np.inf}, "dedupe_tol must be finite"),
+    ({"dedupe_tol": -1e-8}, "dedupe_tol must be finite and nonnegative"),
+])
+def test_data_config_rejects_bad_settings(setting, match):
+    # these used to fail later with a KeyError, a numpy concatenate error, or
+    # (a NaN dedupe_tol) not at all, keeping every duplicate
+    with pytest.raises(ValueError, match=match):
+        dg.DataConfig(**setting)
+
+
+def test_data_config_accepts_edge_settings():
+    assert len(dg.build_dataset(dg.DataConfig(grid_points=1, n_f=3, dedupe=True, dedupe_tol=0.0))) == 3
+
 def test_build_counts_shared_deformations():
     cfg = dg.DataConfig(aniso_class="iso", grid_points=5, n_f=20, seed=1)
     ds = dg.build_dataset(cfg)

@@ -161,6 +161,45 @@ def test_nm_custom_coefficients():
     assert res.fun < 1e-14
 
 
+@pytest.mark.parametrize("optimizer, setting, match", [
+    ("nm", {"step": np.nan}, "step must be finite"),
+    ("nm", {"step": np.inf}, "step must be finite"),
+    ("nm", {"step": 0.0}, "nonzero on every axis"),
+    ("nm", {"step": [0.1, 0.0]}, "nonzero on every axis"),
+    ("nm", {"reflection": np.nan}, "reflection must be finite"),
+    ("nm", {"expansion": np.inf}, "expansion must be finite"),
+    ("nm", {"contraction": np.nan}, "contraction must be finite"),
+    ("nm", {"shrink": -np.inf}, "shrink must be finite"),
+    ("nm", {"tol": np.nan}, "tol must be finite"),
+    ("nm", {"f_target": np.nan}, "f_target must not be NaN"),
+    ("cma", {"tol_x": np.nan}, "tol_x must not be NaN"),
+    ("cma", {"f_target": np.nan}, "f_target must not be NaN"),
+    ("invert", {"f_target": np.nan}, "f_target must not be NaN"),
+    ("invert", {"options": {"tol_x": np.nan}}, "tol_x must not be NaN"),
+    ("invert", {"method": "nelder-mead", "options": {"step": np.nan}}, "step must be finite"),
+])
+def test_optimizers_reject_bad_settings(optimizer, setting, match, trained_like_model):
+    """Each of these used to spend the budget or stop at once and return a normal-looking result."""
+    def f(x):
+        return float(np.sum((x - 1.0) ** 2))
+
+    with pytest.raises(ValueError, match=match):
+        if optimizer == "nm":
+            inverse.nelder_mead(f, np.zeros(2), **setting)
+        elif optimizer == "cma":
+            inverse.cma_es(f, np.zeros(2), 0.5, max_evals=100, **setting)
+        else:
+            model, C = trained_like_model
+            inverse.invert_design(model, C, np.zeros_like(C), restarts=1, max_evals=50, **setting)
+
+
+def test_nm_zero_step_is_allowed_on_a_pinned_axis():
+    # like cma_es's sigma0 = 0 on a zero-width box: the pinned coordinate needs no edge
+    res = inverse.nelder_mead(lambda x: float(np.sum((x - 1.0) ** 2)), np.zeros(2), step=[0.5, 0.0],
+                              bounds=[[-5.0, 5.0], [0.0, 0.0]], tol=1e-12)
+    assert res.x[1] == 0.0 and abs(res.x[0] - 1.0) < 1e-5
+
+
 def test_fit_direction_from_structure_tensor():
     e2 = np.array([0.0, 1.0, 0.0])
     n, res = inverse.fit_direction(np.outer(e2, e2), x0=(1.0, 0.0, 0.0))

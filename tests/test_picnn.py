@@ -279,6 +279,40 @@ def test_reused_cache_matches_fresh_calls(grouped):
         cache = reused
 
 
+def cache_arrays(c):
+    """Every array a cache holds, through its nested lists and tuples."""
+    stack, found = [getattr(c, slot, None) for slot in type(c).__slots__], []
+    while stack:
+        a = stack.pop()
+        if isinstance(a, np.ndarray):
+            found.append(a)
+        elif isinstance(a, (list, tuple)):
+            stack.extend(a)
+    return found
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_backprop_dtheta_is_views_of_one_fresh_vector(constrained):
+    """dtheta's arrays are views, in weight_shapes() order, of one vector that
+    no weight, cache buffer, dX or earlier dtheta shares memory with."""
+    rng = np.random.default_rng(15)
+    p = small_net(constrained)
+    X, Y = rand_inputs(rng, 6)
+    sv, sg = rng.standard_normal(6), rng.standard_normal((6, 8))
+    _, _, cache = picnn.value_and_grad(p, X, Y, return_cache=True)
+    held = list(p.weights.values())
+    for _ in range(2):
+        d, dX = picnn.backprop(p, X, Y, sv, sg, cache=cache)
+        vec = d["bout"].base
+        assert list(d) == list(p.weight_shapes())
+        assert vec.ndim == 1 and vec.flags.owndata and vec.size == sum(w.size for w in p.weights.values())
+        assert all(v.base is vec for v in d.values())
+        assert same_bits(vec, picnn.flatten_grads(p, d))
+        # the cache's backprop buffers are made by the first call, so list them after it
+        assert not any(np.shares_memory(vec, a) for a in held + cache_arrays(cache) + [dX])
+        held.append(vec)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     depth=st.integers(1, 4),

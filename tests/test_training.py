@@ -187,6 +187,52 @@ def test_train_resume_matches_single_run():
         assert np.array_equal(solo.net.weights[k], part.net.weights[k])
 
 
+def test_train_packs_the_weights_into_the_vector_adam_steps():
+    ds = tiny_dataset("transiso", n_f=10)
+    model = training.model_for_discovery(2, seed=7, width_x=8, width_y=6, depth=2)
+    keys = list(model.net.weights)
+    result = training.train(model, ds, training.TrainConfig(epochs=5))
+    w = model.net.weights
+    theta = w["bout"].base
+    assert list(w) == keys
+    assert theta.ndim == 1 and theta.flags.c_contiguous
+    assert theta.size == sum(v.size for v in w.values())
+    start = theta.__array_interface__["data"][0]
+    offset = 0
+    for name, shape in model.net.weight_shapes().items():
+        assert w[name].base is theta and w[name].shape == shape
+        assert w[name].__array_interface__["data"][0] == start + theta.itemsize * offset
+        offset += w[name].size
+    moments = result.optimizer.state()["m"]
+    assert moments.keys() == {"net", "alpha_bar", "phi", "p_raw"}
+    assert moments["net"].shape == (theta.size,)
+
+
+def test_train_does_not_depend_on_how_the_weights_are_held():
+    """A model whose weight arrays were rebound to copies between two segments
+    trains bit for bit like the untouched model."""
+    ds = tiny_dataset("iso", n_f=10)
+    cfg = training.TrainConfig(epochs=40, lr=1e-2, warmup_frac=0.1, log_every=10)
+    kept, rebound = tiny_model("iso", seed=8), tiny_model("iso", seed=8)
+    seg_kept = training.train(kept, ds, cfg, stop_epoch=20)
+    seg_rebound = training.train(rebound, ds, cfg, stop_epoch=20)
+    for name in rebound.net.weights:
+        rebound.net.weights[name] = rebound.net.weights[name].copy()
+    training.train(kept, ds, cfg, start_epoch=20, optimizer=seg_kept.optimizer)
+    training.train(rebound, ds, cfg, start_epoch=20, optimizer=seg_rebound.optimizer)
+    for k in kept.net.weights:
+        assert kept.net.weights[k].tobytes() == rebound.net.weights[k].tobytes()
+
+
+def test_packing_leaves_the_checkpoint_bytes_unchanged(tmp_path):
+    model = tiny_model("transiso", seed=9)
+    energy.save_model(model, tmp_path / "before.json")
+    training._trainable_params(model)
+    assert all(v.base is not None for v in model.net.weights.values())
+    energy.save_model(model, tmp_path / "after.json")
+    assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+
+
 @pytest.mark.parametrize("start, stop", ((10, None), (5, 5), (12, 20)))
 def test_train_rejects_empty_segment(start, stop):
     ds = tiny_dataset("iso", n_f=10)
