@@ -190,12 +190,10 @@ def dedupe_invariant_space(C, aniso_class, tol=1e-8, directions=None):
     Ns = [np.outer(n, n) for n in (n1, n2)][: energy.N_DIRECTIONS[aniso_class]]
     I = tc.invariants(C, Ns)
     kept = []
-    kept_rows = np.empty((0, I.shape[1]))
     for i in range(I.shape[0]):
-        if kept and np.min(np.max(np.abs(kept_rows - I[i]), axis=1)) < tol:
+        if kept and np.min(np.max(np.abs(I[kept] - I[i]), axis=1)) < tol:
             continue
         kept.append(i)
-        kept_rows = np.vstack([kept_rows, I[i]])
     return np.asarray(kept, dtype=int)
 
 
@@ -223,8 +221,9 @@ class DataConfig:
                              f"{', '.join(DEFAULT_GRIDS)}")
         if self.sampler not in ("lhs", "polar"):
             raise ValueError(f"unknown sampler {self.sampler!r}, expected lhs or polar")
-        if self.grid_points < 1:
-            raise ValueError(f"grid_points must be at least 1, got {self.grid_points}")
+        for name in ("grid_points", "n_f"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # a chained comparison, False for NaN
         if not 0.0 <= self.dedupe_tol < np.inf:
             raise ValueError(f"dedupe_tol must be finite and nonnegative, got {self.dedupe_tol}")
@@ -264,18 +263,19 @@ def build_dataset(cfg):
     """
     names, points = design_grid(cfg)
 
-    def draw(seed):
+    def metrics(seed):
+        """C of one deformation draw, deduplicated if asked."""
         if cfg.sampler == "lhs":
-            return sample_F_lhs(cfg.n_f, cfg.delta, seed)
-        return sample_F_polar(cfg.n_f, cfg.stretch_bounds, seed)
+            F = sample_F_lhs(cfg.n_f, cfg.delta, seed)
+        else:
+            F = sample_F_polar(cfg.n_f, cfg.stretch_bounds, seed)
+        C = np.einsum("bki,bkj->bij", F, F)
+        return C[dedupe_invariant_space(C, cfg.aniso_class, cfg.dedupe_tol)] if cfg.dedupe else C
 
-    shared = None if cfg.independent_f else draw(cfg.seed)
+    shared = None if cfg.independent_f else metrics(cfg.seed)
     D_rows, C_rows, S_rows = [], [], []
     for k, point in enumerate(points):
-        F = draw(cfg.seed + 1000 * (k + 1)) if cfg.independent_f else shared
-        C = np.einsum("bki,bkj->bij", F, F)
-        if cfg.dedupe:
-            C = C[dedupe_invariant_space(C, cfg.aniso_class, cfg.dedupe_tol)]
+        C = metrics(cfg.seed + 1000 * (k + 1)) if cfg.independent_f else shared
         params = dict(zip(names, point))
         mat = material_for_class(cfg.aniso_class, params)
         S = mat.stress(C)

@@ -367,38 +367,29 @@ class _Evaluation:
         c = self.coefficients() * self.scale
         return 2.0 * (c[:, None, :] @ self.Bu.reshape(B, n, 9)).reshape(B, 3, 3)
 
-    def tangent(self, with_sn=True):
-        """4 [B6^T H B6 + sum_i c_i d2I_i/dC2] in 6x6 form, B6 the packed scaled bases."""
-        M = np.empty((self.Iu.shape[0], 6, 6))
-        for _ in self.tangent_blocks(picnn.HESS_ROWS, with_sn, out=M):
-            pass  # each block is written into M
-        return M
-
-    def tangent_blocks(self, rows, with_sn=True, out=None):
-        """The 6x6 tangent of each block of `rows` sample rows, in turn: (slice, M) pairs.
+    def tangent_blocks(self, with_sn=True):
+        """The 6x6 tangent of each block of picnn.HESS_ROWS sample rows, in turn: (slice, M) pairs.
 
         The network Hessian is taken once for every row, in the cache's
         buffers: its matrix products run over the whole batch, and
         splitting them moves last bits. Every term past it is per row, so
-        B6, H B6 and M live in block-sized buffers of the workspace, which
-        the next block overwrites. out, if given, is a (B, 6, 6) array that
-        takes each block's M in place of the block buffer.
+        B6, H B6 and M are block arrays made once per call, which each
+        block overwrites.
         """
         ws = self.ws
         B, n = self.Iu.shape
         H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=ws.cache, group=ws.rows)[:B]
         H[:, 2, 2] += growth_curvature(ws.J, self.model.config.gamma)
+        rows = picnn.HESS_ROWS
         size = min(B, rows)
-        if ws.tangent_buffers is None or ws.tangent_buffers[0].shape != (size, n, 6):
-            ws.tangent_buffers = (np.empty((size, n, 6)), np.empty((size, n, 6)), np.empty((size, 6, 6)))
-        B6, HB6, M = ws.tangent_buffers
+        B6, HB6, M = np.empty((size, n, 6)), np.empty((size, n, 6)), np.empty((size, 6, 6))
         c = self.coefficients(with_sn) * self.scale
         for r in range(0, B, rows):
-            b, k = slice(r, r + rows), min(rows, B - r)
+            k = min(rows, B - r)
+            b = slice(r, r + k)
             B6b = tc.sym_to_6(self.Bu[b], out=B6[:k])
             B6b *= self.scale[:, None]
-            Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]),
-                           out=M[:k] if out is None else out[b])
+            Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]), out=M[:k])
             Mb += tc.curvature_66(tc.CWorkspace(ws.C[b], ws.cof[b], ws.det[b], ws.J[b], ws.Cinv[b]),
                                   c[b], tuple(N if N.ndim == 2 else N[b] for N in self.row_Ns))
             Mb *= 4.0
@@ -486,7 +477,9 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
     stress normalization.
     """
     ev, single = _evaluate(model, C, D, structure)
-    M = ev.tangent(with_sn)
+    M = np.empty((ev.Iu.shape[0], 6, 6))
+    for b, Mb in ev.tangent_blocks(with_sn):
+        M[b] = Mb
     if not return_stress:
         return M[0] if single else M
     S = ev.stress()
@@ -508,12 +501,10 @@ class Workspace(tc.CWorkspace):
     weights and ``scatter``, the (G, B) matrix that sums rows per design.
 
     Buffers, overwritten by each evaluation: ``cache``, the picnn cache
-    holding the network's x path and hess_inputs' buffers; ``Bu``, the (B,
-    n, 3, 3) basis stack, whose four isotropic slots are computed once from
-    C and whose anisotropic slots are rewritten for the current structure
-    tensors; and ``tangent_buffers``, one block of the packed bases B6, of
-    H B6 and of the 6x6 tangent, made by the first tangent. No array a
-    public function returns aliases any of them.
+    holding the network's x path and hess_inputs' buffers, and ``Bu``, the
+    (B, n, 3, 3) basis stack, whose four isotropic slots are computed once
+    from C and whose anisotropic slots are rewritten for the current
+    structure tensors. No array a public function returns aliases either.
 
     refill overwrites the C-workspace and Bu's isotropic slots with those of
     new metrics, so one Workspace serves a sequence of C (the iterations of
@@ -528,7 +519,6 @@ class Workspace(tc.CWorkspace):
     scatter: object = None
     cache: object = None
     Bu: np.ndarray | None = None
-    tangent_buffers: tuple | None = None
 
     def invariant_bases(self, Ns):
         """tc.invariant_bases of the samples for the active tensors Ns, in the Bu buffer."""

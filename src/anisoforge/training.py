@@ -182,9 +182,9 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
     model.d_bounds = _bounds_from_data(model, ws)
     params = _trainable_params(model)
     opt = optimizer if optimizer is not None else Adam(lr=cfg.lr)
-    history = {"loss": [], "epoch": [], "alpha": [], "phi": [], "penalty": []}
+    history = {"loss": [], "epoch": [], "alpha": [], "phi": []}
     writer, log_file = _open_log(log_dir)
-    snapshot = (start_epoch, model.copy())
+    snapshot = model.copy()
     stopped_early = False
     try:
         for epoch in range(start_epoch, last):
@@ -193,7 +193,7 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
             pen, dpen = _alpha_penalty(model.aniso, weight, cfg.p)
             total = float(out.loss + pen)
             if not np.isfinite(total):
-                raise TrainingDiverged(epoch, snapshot[1], history)
+                raise TrainingDiverged(epoch, snapshot, history)
             history["loss"].append(total)
             grads = {"net": picnn.flatten_grads(model.net, out.dnet)}
             if "alpha_bar" in params:
@@ -205,8 +205,8 @@ def train(model, dataset, cfg, log_dir=None, start_epoch=0, stop_epoch=None, opt
             if "phi" in params:
                 model.aniso.phi = float(params["phi"][0])
             if epoch % cfg.log_every == 0 or epoch == last - 1:
-                _log_epoch(history, writer, model, epoch, total, pen)
-                snapshot = (epoch, model.copy())
+                _log_epoch(history, writer, model, epoch, total)
+                snapshot = model.copy()
             if cfg.early_stop and _on_plateau(history["loss"], cfg):
                 stopped_early = True
                 break
@@ -245,13 +245,12 @@ def _open_log(log_dir):
     return writer, f
 
 
-def _log_epoch(history, writer, model, epoch, total, pen):
+def _log_epoch(history, writer, model, epoch, total):
     a1, a2 = (model.aniso.alphas() if model.aniso is not None else (1.0, 1.0))
     phi = model.aniso.phi if model.aniso is not None else 0.0
     history["epoch"].append(epoch)
     history["alpha"].append((a1, a2))
     history["phi"].append(phi)
-    history["penalty"].append(pen)
     if writer is not None:
         writer.writerow([epoch, f"{total:.10e}", f"{a1:.8f}", f"{a2:.8f}", f"{phi:.8f}"])
 

@@ -86,6 +86,15 @@ def test_gen_data_nan_dedupe_tol_exits_2(root, capsys):
     assert "dedupe_tol must be finite" in capsys.readouterr().err
 
 
+def test_gen_data_without_deformation_samples_exits_2(root, capsys):
+    out = root / "empty.txt"
+    rc = run_cli("gen-data", "--model", "neo-hookean", "--sampler", "polar", "--nf", "0",
+                 "--runs-root", root, "--run", "bad", "--out", out)
+    assert rc == 2
+    assert "n_f must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli()

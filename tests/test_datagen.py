@@ -211,6 +211,15 @@ def test_data_config_rejects_bad_settings(setting, match):
         dg.DataConfig(**setting)
 
 
+def test_data_config_rejects_empty_deformation_sets():
+    # the polar sampler used to write a dataset of 0 records, and n_f < 0
+    # failed inside numpy
+    for n_f in (0, -3):
+        for sampler in ("lhs", "polar"):
+            with pytest.raises(ValueError, match=f"n_f must be at least 1, got {n_f}"):
+                dg.DataConfig(n_f=n_f, sampler=sampler)
+
+
 def test_data_config_accepts_edge_settings():
     assert len(dg.build_dataset(dg.DataConfig(grid_points=1, n_f=3, dedupe=True, dedupe_tol=0.0))) == 3
 

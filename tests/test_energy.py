@@ -144,6 +144,23 @@ def test_tangent_return_stress_matches_stress_and_tangent(mode):
     assert S1.shape == (3, 3) and M1.shape == (6, 6)
 
 
+def test_tangent_over_several_blocks_matches_per_slice_calls():
+    """Three row blocks of picnn.HESS_ROWS, the last one partial, against
+    calls on slices that straddle the block edges; a slice's network
+    Hessian runs over another batch, so the last bits may move."""
+    rng = np.random.default_rng(15)
+    m = tiny_model("polyconvex", "ortho")
+    B = 2 * picnn.HESS_ROWS + 5
+    C, D = rand_batch(rng, B, m)
+    M = energy.tangent(m, C, D)
+    edges = [0, 100, picnn.HESS_ROWS + 7, 2 * picnn.HESS_ROWS - 1, B]
+    ref = np.concatenate([energy.tangent(m, C[a:b], D[a:b]) for a, b in zip(edges, edges[1:])])
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    S, M_with_stress = energy.tangent(m, C, D, return_stress=True)
+    assert np.array_equal(M_with_stress, M)
+    assert np.array_equal(S, energy.stress(m, C, D))
+
+
 def test_linearC_tangent_bitwise_with_without_sn():
     rng = np.random.default_rng(3)
     m = tiny_model("nonpoly_linearC", "ortho")

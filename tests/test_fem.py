@@ -598,6 +598,42 @@ def test_newton_builds_a_tangent_only_before_a_linear_solve(monkeypatch):
         assert np.array_equal(getattr(reused, name), getattr(full, name)), name
 
 
+def _two_block_assembly_case():
+    """A 5x4x2 beam: 40 elements of 8 points, one full tangent block of
+    picnn.HESS_ROWS rows (32 elements) and one partial block (8)."""
+    mesh = fem.box_mesh((5.0, 4.0, 2.0), (5, 4, 2))
+    quad = mesh.quadrature
+    assert picnn.HESS_ROWS < quad.wdetJ.size < 2 * picnn.HESS_ROWS
+    model = tiny_model("transiso", seed=12)
+    structure = tc.structure_tensors(0.6, np.array([0.3, -0.5, 0.8]))
+    u = 0.03 * np.random.default_rng(13).standard_normal(mesh.n_dof)
+    return mesh, quad, model, np.array([2.5, 3.5]), u, structure
+
+
+def test_two_block_tangent_matches_fd_of_residual():
+    mesh, quad, model, D, u, structure = _two_block_assembly_case()
+    K = fem.assemble(mesh, quad, model, D, u, structure=structure).K
+    rng = np.random.default_rng(14)
+    h = 1e-6
+    for _ in range(3):
+        v = rng.standard_normal(mesh.n_dof)
+        rp, rm = (fem.assemble(mesh, quad, model, D, u + s * h * v, structure=structure,
+                               with_tangent=False).residual for s in (1.0, -1.0))
+        fd = (rp - rm) / (2 * h)
+        assert np.max(np.abs(K @ v - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_two_block_stiffness_is_symmetric_and_a_reused_workspace_matches_a_fresh_one():
+    mesh, quad, model, D, u, structure = _two_block_assembly_case()
+    fresh = fem.assemble(mesh, quad, model, D, u, structure=structure).K
+    K = fresh.toarray()
+    assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+    workspace = fem._AssemblyWorkspace()
+    fem.assemble(mesh, quad, model, D, 0.5 * u, structure=structure, _workspace=workspace)
+    reused = fem.assemble(mesh, quad, model, D, u, structure=structure, _workspace=workspace).K
+    assert np.array_equal(reused.data, fresh.data)
+
+
 def test_successive_solves_share_no_memory():
     """A solve's held buffers never reach its result, so the next solve
     on the same mesh cannot overwrite it."""
