@@ -13,13 +13,18 @@ network evaluation per Newton iteration, which gives the stresses and the
 residual. The tangent is read off the same evaluation only when the
 residual check fails, just before the linear solve, so the iteration
 that confirms convergence builds none. The assemblies of one solve share
-one workspace, whose buffers each of them overwrites.
+one workspace, whose buffers each of them overwrites. A load step that
+fails is retried from its last converged state with its increment
+halved, to a fixed depth.
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
 slots. The free-dof block is factored by banded Cholesky after a reverse
 Cuthill-McKee reordering, whose band is planned once per solve; a K that
 is not positive definite falls back to a general sparse direct solve.
+The orientation search plans the band and makes the workspace once for
+all its solves, and starts each solve of a restart from the previous
+one's converged displacement.
 
 The canned load case is a simply supported beam with a prescribed downward
 displacement on the midspan top face; the orientation inverse problem seeks
@@ -206,7 +211,8 @@ def _strain_displacement(F, gM, gN, out=None, scratch=None):
 
 @dataclass
 class _AssemblyWorkspace:
-    """What the assemblies of one solve share, each overwriting it.
+    """What the assemblies of one solve, or of one orientation search, share,
+    each overwriting it.
 
     ``energy`` is the energy.Workspace of the quadrature points: their
     C-workspace, the network cache (with hess_inputs' Jacobians and
@@ -242,9 +248,10 @@ def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, _worksp
     element.
 
     _workspace is solve_displacement's _AssemblyWorkspace, which the
-    assemblies of one solve share, with the same model, D and structure;
-    each assembly overwrites its buffers, and the Newton loop calls
-    _tangent on it only before a linear solve. None gives a throwaway one.
+    assemblies of one solve share, with the same model and D (an
+    orientation search also shares it across solves and structures); each
+    assembly overwrites its buffers, and the Newton loop calls _tangent on
+    it only before a linear solve. None gives a throwaway one.
     """
     E, Q = quad.wdetJ.shape
     aw = _AssemblyWorkspace() if _workspace is None else _workspace
@@ -313,7 +320,7 @@ class FemResult:
     u: np.ndarray                  # (n_nodes, 3)
     F: np.ndarray                  # (E, 8, 3, 3) at the final state
     S: np.ndarray                  # (E, 8, 3, 3)
-    newton_norms: list             # per load step, list of residual infinity norms
+    newton_norms: list             # per converged increment, list of residual infinity norms
     reactions: np.ndarray          # (n_dof,) internal forces at the final state
 
     def cauchy(self):
@@ -329,15 +336,48 @@ def von_mises_max(state):
     return float(state.von_mises().max())
 
 
+# a failed load step restarts with its increment halved, at most this many times
+CUTBACK_DEPTH = 4
+
+
+@dataclass
+class _NewtonState:
+    """What a caller's solves of one mesh with the same supports share.
+
+    ``plan`` is the band plan of the free dofs, made by the first solve;
+    ``workspace`` is the _AssemblyWorkspace every assembly overwrites; ``u``
+    is the flat displacement of the last converged solve, from which the
+    next solve starts warm, or None for a cold start.
+    """
+
+    plan: BandPlan | None = None
+    workspace: _AssemblyWorkspace = field(default_factory=_AssemblyWorkspace)
+    u: np.ndarray | None = None
+
+
 def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
-                       max_iter=25, structure=None):
+                       max_iter=25, structure=None, _state=None):
     """Displacement-driven Newton solve with uniform load stepping.
 
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
-    steps); all remaining dofs are free and carry no external load. Raises
+    steps); all remaining dofs are free and carry no external load. A load
+    step whose Newton loop fails (no convergence within max_iter
+    iterations, a non-finite residual or network input, or a singular
+    linear solve) restarts from the last converged displacement with its
+    increment halved, at most CUTBACK_DEPTH times per load step.
+    newton_norms holds one list of residual norms per converged increment,
+    in order: n_steps lists when no step was cut back, one more per cut;
+    failed attempts leave none. Raises
     ValueError for a tolerance that is not finite and positive or a step or
-    iteration count below 1, and RuntimeError if any Newton loop fails to
-    reach the residual tolerance.
+    iteration count below 1, and RuntimeError if a load step still fails
+    at the smallest increment.
+
+    _state is a _NewtonState held by a caller that solves the same mesh
+    with the same bc_dofs many times (invert_orientation): its band plan
+    and workspace serve every solve. When it holds the displacement of an
+    earlier converged solve, Newton first runs from there at full load in
+    one step, and falls back to the cold ramp from zero if that fails.
+    None gives a throwaway state, so the solve starts cold.
     """
     bc_dofs = np.asarray(bc_dofs, dtype=int)
     bc_values = np.asarray(bc_values, dtype=float)
@@ -355,29 +395,78 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
     quad = mesh.quadrature
-    plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
-    free = plan.order
-    u = np.zeros(mesh.n_dof)
-    norms_per_step = []
+    held = _NewtonState() if _state is None else _state
+    if held.plan is None:
+        held.plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
+
+    def newton(u):
+        return _newton(mesh, quad, model, D, u, structure, held, tol, max_iter)
+
     last = None
-    aw = _AssemblyWorkspace()
-    for step in range(1, n_steps + 1):
-        u[bc_dofs] = bc_values * (step / n_steps)
-        norms = []
-        for it in range(max_iter):
+    if held.u is not None:
+        u = held.u.copy()
+        u[bc_dofs] = bc_values
+        norms, last = newton(u)
+        norms_per_step = [norms]
+    if last is None:
+        u = np.zeros(mesh.n_dof)
+        norms_per_step = []
+        for step in range(1, n_steps + 1):
+            converged = u.copy()
+            done, size, cuts = 0.0, 1.0, 0  # shares of the step: converged, next increment
+            while done < 1.0:
+                u[bc_dofs] = bc_values * ((step - 1 + done + size) / n_steps)
+                last = None  # the last increment's arrays go before the next is built
+                norms, last = newton(u)
+                if last is not None:
+                    done += size
+                    converged[:] = u
+                    norms_per_step.append(norms)
+                elif cuts < CUTBACK_DEPTH:
+                    u[:] = converged
+                    size, cuts = size / 2.0, cuts + 1
+                else:
+                    raise RuntimeError(f"Newton did not converge in load step {step} "
+                                       f"after {max_iter} iterations (residual {norms[-1]:.3e}), "
+                                       f"its increment halved {CUTBACK_DEPTH} times")
+    held.u = u
+    return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
+
+
+def _newton(mesh, quad, model, D, u, structure, held, tol, max_iter):
+    """Newton iterations on u, in place, at its prescribed values.
+
+    Returns the residual norms and the last assembly, or the norms and None
+    when the residual does not fall below tol within max_iter iterations or
+    is not finite, an update leaves the deformations at which the network's
+    inputs are finite, or the linear solve finds the free block singular.
+    An assembly at u as given raises as it would anywhere else: u is a
+    converged state under new prescribed values. The tangent is built only
+    before a linear solve.
+    """
+    plan, aw = held.plan, held.workspace
+    free = plan.order
+    norms = []
+    for it in range(max_iter):
+        try:
             last = assemble(mesh, quad, model, D, u, structure=structure, with_tangent=False,
                             _workspace=aw)
-            r_f = last.residual[free]
-            norm = float(np.max(np.abs(r_f))) if free.size else 0.0
-            norms.append(norm)
-            if norm < tol:
-                break
+        except ValueError:  # picnn's "non-finite network input"
+            if it == 0:
+                raise
+            break
+        r_f = last.residual[free]
+        norm = float(np.max(np.abs(r_f))) if free.size else 0.0
+        norms.append(norm)
+        if norm < tol:
+            return norms, last
+        if not np.isfinite(norm):
+            break
+        try:
             u[free] += plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
-        else:
-            raise RuntimeError(f"Newton did not converge in load step {step} "
-                               f"after {max_iter} iterations (residual {norms[-1]:.3e})")
-        norms_per_step.append(norms)
-    return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
+        except RuntimeError:  # BandPlan.solve's splu fallback finds the block singular
+            break
+    return norms, None
 
 
 @dataclass
@@ -510,14 +599,17 @@ def beam_bc(mesh, u0):
     return bc_dofs, bc_values
 
 
-def solve_static(mesh, cfg, model):
-    """Converged state of the simply supported beam under the configured dip."""
+def solve_static(mesh, cfg, model, _state=None):
+    """Converged state of the simply supported beam under the configured dip.
+
+    _state is solve_displacement's, held by invert_orientation.
+    """
     if cfg.D is None:
         raise ValueError("FemConfig.D must hold the design vector")
     bc_dofs, bc_values = beam_bc(mesh, cfg.u0)
     return solve_displacement(mesh, model, cfg.D, bc_dofs, bc_values,
                               n_steps=cfg.n_steps, tol=cfg.tol,
-                              max_iter=cfg.max_iter, structure=cfg.structure())
+                              max_iter=cfg.max_iter, structure=cfg.structure(), _state=_state)
 
 
 @dataclass
@@ -555,6 +647,14 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
     Isotropic models carry no orientation, so the search is skipped and the
     result flagged insensitive. Raises if no restart produces a converged
     solve.
+
+    Every solve of the search shares one band plan and one assembly
+    workspace (a _NewtonState made per call). A restart's first solve
+    ramps the load from zero; each later one first tries a single
+    full-load Newton step from the restart's last converged displacement,
+    and ramps from zero only if that fails. So every restart follows from
+    its seed alone, and a warm objective value matches a cold solve's to
+    within the Newton tolerance, not bit for bit.
     """
     for name, count in (("restarts", restarts), ("max_evals", max_evals)):
         if count < 1:
@@ -563,9 +663,11 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
         obj = von_mises_max(solve_static(mesh, cfg, model))
         return OrientationFit(None, None, None, None, obj, insensitive=True)
 
+    held = _NewtonState()
+
     def objective(x):
         try:
-            state = solve_static(mesh, replace(cfg, phi=x[0], p_raw=x[1:4]), model)
+            state = solve_static(mesh, replace(cfg, phi=x[0], p_raw=x[1:4]), model, _state=held)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             return np.inf
         return von_mises_max(state)
@@ -581,6 +683,7 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
         return x0
 
     def minimize(x0, k):
+        held.u = None  # a restart starts cold
         return inverse.nelder_mead(objective, x0, step=0.2 * width, bounds=bounds,
                                    max_evals=max_evals, tol=tol)
 

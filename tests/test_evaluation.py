@@ -438,6 +438,33 @@ def test_invert_orientation_builds_the_quadrature_once(monkeypatch):
     assert calls["solve_displacement"] >= 10 and calls["precompute_quadrature"] == 1
 
 
+def test_invert_orientation_plans_the_band_once_and_returns_no_aliases(monkeypatch):
+    m = model_for("polyconvex", "transiso")
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig((2.0, 1.0, 1.0), (2, 1, 1), u0=0.01, n_steps=1, D=np.array([2.0, 3.0]))
+    plans, results = [], []
+
+    def planned(*args, _inner=fem.band_plan, **kwargs):
+        plans.append(1)
+        return _inner(*args, **kwargs)
+
+    def solved(*args, _inner=fem.solve_displacement, **kwargs):
+        results.append(_inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(fem, "band_plan", planned)
+    monkeypatch.setattr(fem, "solve_displacement", solved)
+    for calls in (1, 2):
+        fit = fem.invert_orientation(mesh, cfg, m, restarts=2, max_evals=8)
+        assert np.isfinite(fit.objective) and len(plans) == calls
+    # the first three solves: a cold one, then two warm ones over the held workspace
+    names = ("u", "F", "S", "reactions")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for a in names:
+            for b in names:
+                assert not np.shares_memory(getattr(results[i], a), getattr(results[j], b)), (i, j, a, b)
+
+
 def test_call_counts_loss_and_param_gradients():
     m = model_for("polyconvex", "ortho")
     rng = np.random.default_rng(27)

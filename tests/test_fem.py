@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from anisoforge import energy, fem, picnn, training
+from anisoforge import energy, fem, inverse, picnn, training
 from anisoforge import tensor_core as tc
 from util import rand_rotation
 
@@ -371,6 +371,24 @@ def test_newton_failure_raises():
                                    n_steps=1, max_iter=1)
 
 
+def test_a_diverging_load_step_is_cut_back_and_matches_a_many_step_solve():
+    """One 1.2 stretch step of this polyconvex patch does not converge in 25
+    Newton iterations; two half increments do, and reach the stresses of a
+    16-step solve."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model = energy.new_model(2, mode="polyconvex", aniso_class="transiso", width_x=8, width_y=6,
+                             depth=2, seed=3)
+    D = np.array([2.0, 3.0])
+    bc_dofs, bc_values = fem.stretch_bc(mesh, 1.2)
+    # the full step's iterates reach a stiffness that is not positive definite
+    with pytest.warns(UserWarning, match="positive definite"):
+        cut = fem.solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=1)
+    assert len(cut.newton_norms) == 2
+    many = fem.solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=16)
+    assert len(many.newton_norms) == 16
+    assert np.max(np.abs(cut.S - many.S)) <= 1e-8 * np.max(np.abs(many.S))
+
+
 def test_bc_validation():
     mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
     model = tiny_model("iso")
@@ -696,6 +714,37 @@ def test_invert_orientation_runs_and_is_reproducible():
     assert np.array_equal(again.n1, fit.n1)
     report = fit.report()
     assert report["insensitive"] is False and len(report["restarts"]) == 2
+
+
+def test_warm_started_search_matches_cold_solves(monkeypatch):
+    """A restart's first solve ramps the load cold and every later one takes
+    one warm step; a cold solve at each restart's result gives its value."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model = tiny_model("transiso", seed=9)
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05,
+                        n_steps=2, D=np.array([2.0, 4.0]))
+    steps, starts = [], []
+
+    def recorded(*args, _inner=fem.solve_displacement, **kwargs):
+        result = _inner(*args, **kwargs)
+        steps.append(len(result.newton_norms))
+        return result
+
+    def restart(*args, _inner=inverse.nelder_mead, **kwargs):
+        starts.append(len(steps))
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_displacement", recorded)
+    monkeypatch.setattr(inverse, "nelder_mead", restart)
+    fit = fem.invert_orientation(mesh, cfg, model, restarts=2, seed=14, max_evals=40, tol=1e-3)
+    monkeypatch.undo()
+    assert len(starts) == 2 and len(steps) > 2 * 5
+    for first, end in zip(starts, starts[1:] + [len(steps)]):
+        assert steps[first] == cfg.n_steps
+        assert steps[first + 1:end] == [1] * (end - first - 1)
+    for x, f, _ in fit.restarts:
+        cold = fem.solve_static(mesh, dataclasses.replace(cfg, phi=x[0], p_raw=x[1:4]), model)
+        assert abs(fem.von_mises_max(cold) - f) <= 1e-8 * f
 
 
 def test_invert_orientation_iso_is_insensitive():
