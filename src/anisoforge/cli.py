@@ -322,11 +322,11 @@ def _load_dataset(path):
         raise IoError(f"cannot load dataset: {e}")
 
 
-def _load_model(path):
+def _load_model(path, finite=True):
     from . import energy
 
     try:
-        return energy.load_model(path)
+        return energy.load_model(path, finite)
     except (OSError, ValueError, KeyError) as e:
         raise IoError(f"cannot load checkpoint: {e}")
 
@@ -474,7 +474,8 @@ def cmd_train(args, run, sections):
 
     cfg = _train_config(resolved)
     if args.resume:
-        model = _load_model(args.resume)
+        # a diverged checkpoint resumes, so that training reports its divergence
+        model = _load_model(args.resume, finite=False)
         start_epoch = int(model.meta.get("trained_epochs", 0))
         if start_epoch >= cfg.epochs:
             raise UsageError(

@@ -20,11 +20,11 @@ halved, to a fixed depth.
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
 slots. The free-dof block is factored by banded Cholesky after a reverse
-Cuthill-McKee reordering, whose band is planned once per solve; a K that
-is not positive definite falls back to a general sparse direct solve.
-The orientation search plans the band and makes the workspace once for
-all its solves, and starts each solve of a restart from the previous
-one's converged displacement.
+Cuthill-McKee reordering, whose band is planned once per solve, or once
+per orientation search; a K that is not positive definite falls back to
+a general sparse direct solve. The orientation search sets up the beam's
+supports once, holds one workspace for all its solves, and starts each
+solve of a restart from the previous one's converged displacement.
 
 The canned load case is a simply supported beam with a prescribed downward
 displacement on the midspan top face; the orientation inverse problem seeks
@@ -34,7 +34,7 @@ the fiber layout minimizing the peak Von Mises stress of that beam.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -211,8 +211,8 @@ def _strain_displacement(F, gM, gN, out=None, scratch=None):
 
 @dataclass
 class _AssemblyWorkspace:
-    """What the assemblies of one solve, or of one orientation search, share,
-    each overwriting it.
+    """What the assemblies and Newton loops of one solve, or of one
+    orientation search, share, each overwriting it.
 
     ``energy`` is the energy.Workspace of the quadrature points: their
     C-workspace, the network cache (with hess_inputs' Jacobians and
@@ -222,7 +222,10 @@ class _AssemblyWorkspace:
     tangent phase makes them on its first call and overwrites them on
     every later one. The 6x6 tangents' block arrays are made per tangent
     phase. No array assemble returns aliases a buffer, so a solve's result
-    survives the next solve.
+    survives the next solve. ``plan`` is the band plan of the free dofs,
+    made by the first solve; ``u`` is the flat displacement of the last
+    converged solve, from which the next solve starts warm, or None for a
+    cold start.
     """
 
     energy: object = None
@@ -230,6 +233,8 @@ class _AssemblyWorkspace:
     Bv: np.ndarray | None = None
     WMB: np.ndarray | None = None
     Ke: np.ndarray | None = None
+    plan: BandPlan | None = None
+    u: np.ndarray | None = None
 
 
 def assemble(mesh, quad, model, D, u, structure=None, with_tangent=True, _workspace=None):
@@ -340,23 +345,8 @@ def von_mises_max(state):
 CUTBACK_DEPTH = 4
 
 
-@dataclass
-class _NewtonState:
-    """What a caller's solves of one mesh with the same supports share.
-
-    ``plan`` is the band plan of the free dofs, made by the first solve;
-    ``workspace`` is the _AssemblyWorkspace every assembly overwrites; ``u``
-    is the flat displacement of the last converged solve, from which the
-    next solve starts warm, or None for a cold start.
-    """
-
-    plan: BandPlan | None = None
-    workspace: _AssemblyWorkspace = field(default_factory=_AssemblyWorkspace)
-    u: np.ndarray | None = None
-
-
 def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
-                       max_iter=25, structure=None, _state=None):
+                       max_iter=25, structure=None, _workspace=None):
     """Displacement-driven Newton solve with uniform load stepping.
 
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
@@ -372,12 +362,12 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     iteration count below 1, and RuntimeError if a load step still fails
     at the smallest increment.
 
-    _state is a _NewtonState held by a caller that solves the same mesh
-    with the same bc_dofs many times (invert_orientation): its band plan
-    and workspace serve every solve. When it holds the displacement of an
-    earlier converged solve, Newton first runs from there at full load in
-    one step, and falls back to the cold ramp from zero if that fails.
-    None gives a throwaway state, so the solve starts cold.
+    _workspace is an _AssemblyWorkspace held by a caller that solves the
+    same mesh with the same bc_dofs many times (invert_orientation): its
+    band plan and buffers serve every solve. When it holds the displacement
+    of an earlier converged solve, Newton first runs from there at full
+    load in one step, and falls back to the cold ramp from zero if that
+    fails. None gives a throwaway one, so the solve starts cold.
     """
     bc_dofs = np.asarray(bc_dofs, dtype=int)
     bc_values = np.asarray(bc_values, dtype=float)
@@ -395,7 +385,7 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
     quad = mesh.quadrature
-    held = _NewtonState() if _state is None else _state
+    held = _AssemblyWorkspace() if _workspace is None else _workspace
     if held.plan is None:
         held.plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
 
@@ -433,7 +423,7 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
 
 
-def _newton(mesh, quad, model, D, u, structure, held, tol, max_iter):
+def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter):
     """Newton iterations on u, in place, at its prescribed values.
 
     Returns the residual norms and the last assembly, or the norms and None
@@ -444,8 +434,7 @@ def _newton(mesh, quad, model, D, u, structure, held, tol, max_iter):
     converged state under new prescribed values. The tangent is built only
     before a linear solve.
     """
-    plan, aw = held.plan, held.workspace
-    free = plan.order
+    free = aw.plan.order
     norms = []
     for it in range(max_iter):
         try:
@@ -463,7 +452,7 @@ def _newton(mesh, quad, model, D, u, structure, held, tol, max_iter):
         if not np.isfinite(norm):
             break
         try:
-            u[free] += plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
+            u[free] += aw.plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
         except RuntimeError:  # BandPlan.solve's splu fallback finds the block singular
             break
     return norms, None
@@ -599,17 +588,20 @@ def beam_bc(mesh, u0):
     return bc_dofs, bc_values
 
 
-def solve_static(mesh, cfg, model, _state=None):
-    """Converged state of the simply supported beam under the configured dip.
-
-    _state is solve_displacement's, held by invert_orientation.
-    """
+def _beam_problem(mesh, cfg, model):
+    """solve_displacement's positional arguments for the beam of cfg, whose
+    design is checked against the model's design width."""
     if cfg.D is None:
         raise ValueError("FemConfig.D must hold the design vector")
-    bc_dofs, bc_values = beam_bc(mesh, cfg.u0)
-    return solve_displacement(mesh, model, cfg.D, bc_dofs, bc_values,
-                              n_steps=cfg.n_steps, tol=cfg.tol,
-                              max_iter=cfg.max_iter, structure=cfg.structure(), _state=_state)
+    if np.shape(cfg.D) != (model.net.n_design,):
+        raise ValueError(f"FemConfig.D has shape {np.shape(cfg.D)}, the model takes "
+                         f"{model.net.n_design} design parameters")
+    return (mesh, model, cfg.D, *beam_bc(mesh, cfg.u0), cfg.n_steps, cfg.tol, cfg.max_iter)
+
+
+def solve_static(mesh, cfg, model):
+    """Converged state of the simply supported beam under the configured dip."""
+    return solve_displacement(*_beam_problem(mesh, cfg, model), structure=cfg.structure())
 
 
 @dataclass
@@ -648,8 +640,11 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
     result flagged insensitive. Raises if no restart produces a converged
     solve.
 
-    Every solve of the search shares one band plan and one assembly
-    workspace (a _NewtonState made per call). A restart's first solve
+    The design and the supports are checked and set up once, so a
+    configuration error raises with its own message; only a candidate's
+    own failures (a zero rotation axis, or Newton failing at the smallest
+    increment) score inf. Every solve of the search shares one band plan
+    and one _AssemblyWorkspace, made per call. A restart's first solve
     ramps the load from zero; each later one first tries a single
     full-load Newton step from the restart's last converged displacement,
     and ramps from zero only if that fails. So every restart follows from
@@ -663,12 +658,16 @@ def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=
         obj = von_mises_max(solve_static(mesh, cfg, model))
         return OrientationFit(None, None, None, None, obj, insensitive=True)
 
-    held = _NewtonState()
+    problem, held = _beam_problem(mesh, cfg, model), _AssemblyWorkspace()
 
     def objective(x):
         try:
-            state = solve_static(mesh, replace(cfg, phi=x[0], p_raw=x[1:4]), model, _state=held)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            structure = tc.structure_tensors(x[0], x[1:4])
+        except ValueError:  # a zero rotation axis
+            return np.inf
+        try:
+            state = solve_displacement(*problem, structure=structure, _workspace=held)
+        except RuntimeError:  # Newton fails at the smallest increment
             return np.inf
         return von_mises_max(state)
 

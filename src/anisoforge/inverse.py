@@ -389,6 +389,9 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     """
     cw = tc.c_workspace(np.asarray(C, dtype=float))
     S_obs = np.asarray(S_obs, dtype=float)
+    if cw.C.ndim != 3 or S_obs.shape != cw.C.shape:
+        raise ValueError(f"S_obs has shape {S_obs.shape}; it must be shaped like C, "
+                         f"(B, 3, 3), here {cw.C.shape}")
     m = model.net.n_design
     if d_bounds is None:
         if model.d_bounds is None:

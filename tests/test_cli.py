@@ -575,6 +575,22 @@ def test_fem_invert_zero_restarts_exits_2(root, trans_dataset, capsys):
     assert "restarts" in capsys.readouterr().err
 
 
+def test_fem_invert_without_a_midspan_column_exits_2(root, trans_dataset, capsys):
+    """fem-invert names the beam's fault as fem does, not as a failed search."""
+    rc = run_cli(
+        "train", "--data", trans_dataset, "--runs-root", root, "--run", "train-tr-odd",
+        "--known-class", "trans", "--epochs", "1",
+        "--width-x", "4", "--width-y", "4", "--depth", "1",
+    )
+    assert rc == 0
+    ckpt = root / "train-tr-odd" / "checkpoints" / "model.json"
+    for command in ("fem", "fem-invert"):
+        rc = run_cli(command, "--model", ckpt, "--d", "3.0,5.0", "--divisions", "3,1,1",
+                     "--runs-root", root, "--run", f"{command}-odd")
+        assert rc == 2
+        assert "no node column at midspan" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # probes and studies
 
@@ -587,6 +603,18 @@ def test_probe_isotropy_on_iso_model(root, iso_ckpt, capsys):
     report = json.loads((root / "probe" / "reports" / "isotropy.json").read_text())
     assert report["max_deviation"] < 1e-10
     assert len(report["planes"]) == 6
+
+
+def test_probe_isotropy_non_finite_checkpoint_exits_4(root, iso_ckpt, tmp_path, capsys):
+    payload = json.loads(iso_ckpt.read_text())
+    payload["weights"]["Wxx0"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli("probe-isotropy", "--model", bad, "--d", "3.0,3.0",
+                 "--runs-root", root, "--run", "probe-nan")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "'Wxx0' has non-finite entries" in err
 
 
 def test_study_samples_emits_loss_csvs(root, capsys):

@@ -333,6 +333,18 @@ def test_load_rejects_short_rows_and_non_finite_entries(tmp_path):
         dg.load_dataset(path)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_load_rejects_a_file_without_records(tmp_path):
+    ds = dg.build_dataset(dg.DataConfig(aniso_class="iso", grid_points=2, n_f=4))
+    path = tmp_path / "set.txt"
+    dg.save_dataset(ds, path)
+    header = path.read_text().splitlines()[0]
+    for body in ("", "\n\n", "# a note\n"):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match="holds no records"):
+            dg.load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # isotropy probe
 

@@ -747,6 +747,44 @@ def test_warm_started_search_matches_cold_solves(monkeypatch):
         assert abs(fem.von_mises_max(cold) - f) <= 1e-8 * f
 
 
+def test_a_failed_warm_step_ramps_cold_bit_for_bit():
+    """A held displacement from which the full-load step fails falls back to
+    the cold ramp, which gives a direct cold solve's result bit for bit."""
+    model = tiny_model("transiso", seed=9)
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    D = np.array([2.0, 4.0])
+    bc_dofs, small = fem.beam_bc(mesh, 0.02)
+    large = fem.beam_bc(mesh, 0.15)[1]
+    held = fem._AssemblyWorkspace()
+    fem.solve_displacement(mesh, model, D, bc_dofs, small, n_steps=1, _workspace=held)
+    assert held.u is not None
+    # five iterations take the cold ramp's increments, not the full dip from held.u
+    fallback = fem.solve_displacement(mesh, model, D, bc_dofs, large, n_steps=8, max_iter=5,
+                                      _workspace=held)
+    cold = fem.solve_displacement(mesh, model, D, bc_dofs, large, n_steps=8, max_iter=5)
+    assert len(fallback.newton_norms) == 8
+    for name in ("u", "F", "S", "reactions"):
+        assert np.array_equal(getattr(fallback, name), getattr(cold, name)), name
+    assert fallback.newton_norms == cold.newton_norms
+
+
+def test_invert_orientation_raises_on_configuration_errors():
+    """A bad design or a beam without a midspan column is not a candidate's
+    failure: it raises with its own message before the search."""
+    model = tiny_model("transiso", seed=9)
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=1,
+                        D=np.array([2.0, 4.0]))
+    for D, match in ((None, "design vector"), (np.array([2.0, 4.0, 1.0]), "design parameters")):
+        with pytest.raises(ValueError, match=match):
+            fem.invert_orientation(mesh, dataclasses.replace(cfg, D=D), model, restarts=1,
+                                   max_evals=5)
+    odd = dataclasses.replace(cfg, lengths=(3.0, 1.0, 1.0), divisions=(3, 1, 1))
+    with pytest.raises(ValueError, match="no node column at midspan"):
+        fem.invert_orientation(fem.box_mesh(odd.lengths, odd.divisions), odd, model, restarts=1,
+                               max_evals=5)
+
+
 def test_invert_orientation_iso_is_insensitive():
     mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
     model = tiny_model("iso", seed=11)

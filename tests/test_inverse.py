@@ -318,6 +318,17 @@ def test_invert_requires_bounds():
         inverse.invert_design(model, C, np.zeros((1, 3, 3)))
 
 
+def test_invert_rejects_stresses_not_shaped_like_c(trained_like_model, monkeypatch):
+    """A target of the wrong shape raises before the search spends an evaluation."""
+    model, C = trained_like_model
+    calls = []
+    monkeypatch.setattr(energy, "stress_per_design", lambda *a, **k: calls.append(1))
+    for S_obs in (np.zeros((C.shape[0] - 1, 3, 3)), np.zeros((C.shape[0], 9))):
+        with pytest.raises(ValueError, match="S_obs has shape"):
+            inverse.invert_design(model, C, S_obs, restarts=1, max_evals=50)
+    assert calls == []
+
+
 def test_invert_unknown_method(trained_like_model):
     model, C = trained_like_model
     with pytest.raises(ValueError, match="unknown method"):
