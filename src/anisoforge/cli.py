@@ -322,13 +322,30 @@ def _load_dataset(path):
         raise IoError(f"cannot load dataset: {e}")
 
 
-def _load_model(path, finite=True):
+def _read_checkpoint(path):
     from . import energy
 
     try:
-        return energy.load_model(path, finite)
+        return energy.load_model(path)
     except (OSError, ValueError, KeyError) as e:
         raise IoError(f"cannot load checkpoint: {e}")
+
+
+def _load_model(path):
+    """A checkpoint whose weights, activity logits, orientation and design
+    bounds are all finite; train --resume reads a diverged one as written."""
+    import numpy as np
+
+    model = _read_checkpoint(path)
+    numbers = {f"weight {k!r}": v for k, v in model.net.weights.items()}
+    if model.aniso is not None:
+        a = model.aniso
+        numbers.update(alpha_bar=a.alpha_bar, phi=a.phi, p_raw=a.p_raw)
+    numbers["d_bounds"] = model.d_bounds
+    for name, value in numbers.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise IoError(f"cannot load checkpoint: {path}: {name} has non-finite entries")
+    return model
 
 
 def _data_config(resolved, n_f=None):
@@ -475,7 +492,7 @@ def cmd_train(args, run, sections):
     cfg = _train_config(resolved)
     if args.resume:
         # a diverged checkpoint resumes, so that training reports its divergence
-        model = _load_model(args.resume, finite=False)
+        model = _read_checkpoint(args.resume)
         start_epoch = int(model.meta.get("trained_epochs", 0))
         if start_epoch >= cfg.epochs:
             raise UsageError(

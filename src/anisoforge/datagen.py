@@ -13,6 +13,7 @@ written with 17 significant digits so float64 values round-trip exactly.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,13 +321,14 @@ def load_dataset(path):
         if not header.startswith(DATASET_MAGIC):
             raise ValueError(f"{path}: not a dataset file (bad magic line)")
         meta = json.loads(header[len(DATASET_MAGIC):])
-        lines = [line for line in f if line.split("#", 1)[0].strip()]  # what loadtxt reads
+        with warnings.catch_warnings():  # a file without records is refused below
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            rows = np.loadtxt(f, ndmin=2)
     names = meta.pop("param_names", None) if isinstance(meta, dict) else None
     if not isinstance(names, list):
         raise ValueError(f"{path}: the header must be a JSON object with a param_names list")
-    if not lines:
+    if rows.size == 0:
         raise ValueError(f"{path}: the file holds no records")
-    rows = np.loadtxt(lines, ndmin=2)
     m = len(names)
     if rows.shape[1] != m + 12:
         raise ValueError(f"{path}: expected {m + 12} columns, found {rows.shape[1]}")

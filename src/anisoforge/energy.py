@@ -684,27 +684,16 @@ def save_model(model, path):
         json.dump(payload, f)
 
 
-def load_model(path, finite=True):
-    """Load a checkpoint written by save_model.
-
-    With finite, a non-finite weight, activity logit, orientation or design
-    bound is rejected; without it a diverged checkpoint loads as written.
-    """
+def load_model(path):
+    """Load a checkpoint written by save_model."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-
-    def checked(name, value):
-        value = np.asarray(value, dtype=float)
-        if finite and not np.all(np.isfinite(value)):
-            raise ValueError(f"{path}: {name} has non-finite entries")
-        return value
-
     net = picnn.PicnnParams(*(payload["architecture"][k] for k in ARCHITECTURE),
-                            {k: checked(f"weight {k!r}", v) for k, v in payload["weights"].items()})
+                            {k: np.asarray(v, dtype=float) for k, v in payload["weights"].items()})
     for name, shape in net.weight_shapes().items():
         if name not in net.weights:
             raise ValueError(f"{path}: weight {name!r} is missing")
@@ -715,13 +704,12 @@ def load_model(path, finite=True):
     aniso = None
     if payload["aniso"] is not None:
         a = payload["aniso"]
-        checked("phi", a["phi"])
         aniso = AnisotropyState(
-            None if a["alpha_bar"] is None else checked("alpha_bar", a["alpha_bar"]),
+            None if a["alpha_bar"] is None else np.asarray(a["alpha_bar"], dtype=float),
             a["phi"],
-            checked("p_raw", a["p_raw"]),
+            np.asarray(a["p_raw"], dtype=float),
             a["trainable_alpha"],
             a["trainable_orientation"],
         )
-    d_bounds = None if payload["d_bounds"] is None else checked("d_bounds", payload["d_bounds"])
+    d_bounds = None if payload["d_bounds"] is None else np.asarray(payload["d_bounds"], dtype=float)
     return Model(net, cfg, aniso, d_bounds, payload.get("meta", {}))

@@ -352,8 +352,8 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
     steps); all remaining dofs are free and carry no external load. A load
     step whose Newton loop fails (no convergence within max_iter
-    iterations, a non-finite residual or network input, or a singular
-    linear solve) restarts from the last converged displacement with its
+    iterations, a non-finite residual, tangent or network input, or a
+    singular linear solve) restarts from the last converged displacement with its
     increment halved, at most CUTBACK_DEPTH times per load step.
     newton_norms holds one list of residual norms per converged increment,
     in order: n_steps lists when no step was cut back, one more per cut;
@@ -389,8 +389,8 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     if held.plan is None:
         held.plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
 
-    def newton(u):
-        return _newton(mesh, quad, model, D, u, structure, held, tol, max_iter)
+    def newton(u, first=False):
+        return _newton(mesh, quad, model, D, u, structure, held, tol, max_iter, first)
 
     last = None
     if held.u is not None:
@@ -407,7 +407,7 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
             while done < 1.0:
                 u[bc_dofs] = bc_values * ((step - 1 + done + size) / n_steps)
                 last = None  # the last increment's arrays go before the next is built
-                norms, last = newton(u)
+                norms, last = newton(u, first=not norms_per_step and cuts == 0)
                 if last is not None:
                     done += size
                     converged[:] = u
@@ -416,23 +416,24 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
                     u[:] = converged
                     size, cuts = size / 2.0, cuts + 1
                 else:
-                    raise RuntimeError(f"Newton did not converge in load step {step} "
-                                       f"after {max_iter} iterations (residual {norms[-1]:.3e}), "
-                                       f"its increment halved {CUTBACK_DEPTH} times")
+                    raise RuntimeError(f"Newton did not converge in load step {step} after "
+                                       f"{max_iter} iterations (residual "
+                                       f"{(norms or [np.nan])[-1]:.3e}), its increment halved "
+                                       f"{CUTBACK_DEPTH} times")
     held.u = u
     return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
 
 
-def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter):
+def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter, first):
     """Newton iterations on u, in place, at its prescribed values.
 
     Returns the residual norms and the last assembly, or the norms and None
     when the residual does not fall below tol within max_iter iterations or
-    is not finite, an update leaves the deformations at which the network's
-    inputs are finite, or the linear solve finds the free block singular.
-    An assembly at u as given raises as it would anywhere else: u is a
-    converged state under new prescribed values. The tangent is built only
-    before a linear solve.
+    is not finite, an assembly finds a network input that is not, or the
+    linear solve finds the free block singular or not finite. Only in the
+    first increment from zero does the first assembly raise, as it would
+    anywhere else: its fault is the configuration's, not a candidate's.
+    The tangent is built only before a linear solve.
     """
     free = aw.plan.order
     norms = []
@@ -441,7 +442,7 @@ def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter):
             last = assemble(mesh, quad, model, D, u, structure=structure, with_tangent=False,
                             _workspace=aw)
         except ValueError:  # picnn's "non-finite network input"
-            if it == 0:
+            if it == 0 and first:
                 raise
             break
         r_f = last.residual[free]
@@ -453,7 +454,7 @@ def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter):
             break
         try:
             u[free] += aw.plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
-        except RuntimeError:  # BandPlan.solve's splu fallback finds the block singular
+        except (RuntimeError, ValueError):  # splu finds K singular, solveh_banded not finite
             break
     return norms, None
 

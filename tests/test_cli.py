@@ -617,6 +617,29 @@ def test_probe_isotropy_non_finite_checkpoint_exits_4(root, iso_ckpt, tmp_path, 
     assert "cannot load checkpoint" in err and "'Wxx0' has non-finite entries" in err
 
 
+@pytest.mark.parametrize("field", ["weight", "alpha_bar", "phi", "p_raw", "d_bounds"])
+def test_load_model_rejects_non_finite_numbers(tmp_path, field):
+    """The commands that evaluate a checkpoint reject a non-finite number in
+    it as an input fault; train --resume reads it as written."""
+    path = tmp_path / "ckpt.json"
+    m = energy.new_model(2, aniso_class="transiso", width_x=4, width_y=4, depth=1, seed=5)
+    m.aniso.alpha_bar = np.array([0.4, -0.3])
+    m.d_bounds = np.array([[1.0, 5.0], [3.0, 7.0]])
+    energy.save_model(m, path)
+    payload = json.loads(path.read_text())
+    if field == "weight":
+        payload["weights"]["Wxx0"][0][0] = float("nan")
+    elif field == "phi":
+        payload["aniso"]["phi"] = float("inf")
+    else:
+        target = payload["d_bounds"][1] if field == "d_bounds" else payload["aniso"][field]
+        target[1] = float("nan")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(cli.IoError, match=f"{field}.* has non-finite entries"):
+        cli._load_model(path)
+    cli._read_checkpoint(path)  # a diverged checkpoint loads as written
+
+
 def test_study_samples_emits_loss_csvs(root, capsys):
     rc = run_cli(
         "study-samples", "--model", "neo-hookean", "--known-class", "iso",

@@ -785,6 +785,38 @@ def test_invert_orientation_raises_on_configuration_errors():
                                max_evals=5)
 
 
+@pytest.mark.parametrize("target", ["assemble", "_tangent"])
+def test_a_candidates_failed_attempt_is_cut_back_within_the_search(monkeypatch, target):
+    """A non-finite network input at the first assembly of load step 2, or a
+    non-finite tangent, fails that Newton attempt only: the increment is cut
+    back and the search returns."""
+    model = tiny_model("transiso", seed=9)
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=2,
+                        D=np.array([2.0, 4.0]))
+    dofs, values = fem.beam_bc(mesh, cfg.u0)
+    dip = np.argmax(np.abs(values))
+    fired = []
+
+    def once(*args, _inner=getattr(fem, target), **kwargs):
+        if fired:
+            return _inner(*args, **kwargs)
+        if target == "assemble":
+            if args[4][dofs[dip]] == values[dip]:  # the full dip: load step 2
+                fired.append(target)
+                raise ValueError("non-finite network input")
+            return _inner(*args, **kwargs)
+        fired.append(target)
+        K = _inner(*args, **kwargs).copy()
+        K.data[:] = np.nan
+        return K
+
+    monkeypatch.setattr(fem, target, once)
+    fit = fem.invert_orientation(mesh, cfg, model, restarts=2, seed=14, max_evals=20, tol=1e-3)
+    assert fired == [target]
+    assert np.isfinite(fit.objective) and len(fit.restarts) == 2
+
+
 def test_invert_orientation_iso_is_insensitive():
     mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
     model = tiny_model("iso", seed=11)
