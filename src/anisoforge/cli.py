@@ -327,7 +327,7 @@ def _read_checkpoint(path):
 
     try:
         return energy.load_model(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise IoError(f"cannot load checkpoint: {e}")
 
 

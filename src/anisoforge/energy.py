@@ -685,31 +685,95 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Load a checkpoint written by save_model."""
+    """Load a checkpoint written by save_model.
+
+    Raises ValueError, naming the field, for an entry that is missing or
+    whose JSON type or shape is wrong. Numbers may be non-finite, so the
+    checkpoint of a diverged run loads as written.
+    """
     with open(path) as f:
         payload = json.load(f)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    net = picnn.PicnnParams(*(payload["architecture"][k] for k in ARCHITECTURE),
-                            {k: np.asarray(v, dtype=float) for k, v in payload["weights"].items()})
-    for name, shape in net.weight_shapes().items():
-        if name not in net.weights:
-            raise ValueError(f"{path}: weight {name!r} is missing")
-        if net.weights[name].shape != shape:
-            raise ValueError(f"{path}: weight {name!r} has shape {net.weights[name].shape}, "
-                             f"the architecture needs {shape}")
-    cfg = EnergyConfig(payload["config"]["mode"], payload["config"]["class"], payload["config"]["gamma"])
-    aniso = None
-    if payload["aniso"] is not None:
-        a = payload["aniso"]
+    try:
+        return _model_from(payload)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+# a value's JSON type: the first of these it passes
+_JSON_TYPES = {
+    "null": lambda v: v is None,
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an array": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _entry(fields, key, types, name=None):
+    """fields[key], whose JSON type must be one of types ("a number or null", ...);
+    errors call it name, or key."""
+    name = name or key
+    if key not in fields:
+        raise ValueError(f"{name} is missing")
+    value = fields[key]
+    if not any(_JSON_TYPES[t](value) for t in types.split(" or ")):
+        got = next(t for t, test in _JSON_TYPES.items() if test(value))
+        raise ValueError(f"{name} must be {types}, not {got}")
+    return value
+
+
+def _array(fields, key, shape, name=None, nullable=False):
+    """fields[key] as a float array of the given shape, or None if nullable and null."""
+    name = name or key
+    value = _entry(fields, key, "an array or null" if nullable else "an array", name)
+    if value is None:
+        return None
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.empty(0, dtype=object)
+    if a.dtype.kind not in "if" or a.shape != shape:
+        got = f"shape {a.shape}" if a.dtype.kind in "if" else "entries that are not all numbers"
+        raise ValueError(f"{name} must be an array of numbers of shape {shape}, not {got}")
+    return a.astype(float)
+
+
+def _model_from(payload):
+    """The Model of a checkpoint's fields, each checked for its JSON type and shape."""
+    arch = _entry(payload, "architecture", "an object")
+    dims = {k: _entry(arch, k, "an integer", f"architecture.{k}") for k in ARCHITECTURE[:-1]}
+    for k, n in dims.items():
+        if n < 1:
+            raise ValueError(f"architecture.{k} must be at least 1, not {n}")
+    net = picnn.PicnnParams(**dims, constrained=_entry(arch, "constrained", "a boolean",
+                                                       "architecture.constrained"))
+    weights, shapes = _entry(payload, "weights", "an object"), net.weight_shapes()
+    for name in shapes:
+        _entry(weights, name, "an array", f"weight {name!r}")
+    for name in weights:
+        if name not in shapes:
+            raise ValueError(f"weight {name!r} is not part of the architecture")
+    # the file's key order, which save_model writes back
+    net.weights = {k: _array(weights, k, shapes[k], f"weight {k!r}") for k in weights}
+    config = _entry(payload, "config", "an object")
+    cfg = EnergyConfig(_entry(config, "mode", "a string", "config.mode"),
+                       _entry(config, "class", "a string", "config.class"),
+                       _entry(config, "gamma", "a number", "config.gamma"))
+    aniso = _entry(payload, "aniso", "an object or null")
+    if aniso is not None:
         aniso = AnisotropyState(
-            None if a["alpha_bar"] is None else np.asarray(a["alpha_bar"], dtype=float),
-            a["phi"],
-            np.asarray(a["p_raw"], dtype=float),
-            a["trainable_alpha"],
-            a["trainable_orientation"],
+            _array(aniso, "alpha_bar", (2,), "aniso.alpha_bar", nullable=True),
+            _entry(aniso, "phi", "a number", "aniso.phi"),
+            _array(aniso, "p_raw", (3,), "aniso.p_raw"),
+            _entry(aniso, "trainable_alpha", "a boolean", "aniso.trainable_alpha"),
+            _entry(aniso, "trainable_orientation", "a boolean", "aniso.trainable_orientation"),
         )
-    d_bounds = None if payload["d_bounds"] is None else np.asarray(payload["d_bounds"], dtype=float)
-    return Model(net, cfg, aniso, d_bounds, payload.get("meta", {}))
+    d_bounds = _array(payload, "d_bounds", (net.n_design, 2), nullable=True)
+    meta = _entry(payload, "meta", "an object") if "meta" in payload else {}
+    return Model(net, cfg, aniso, d_bounds, meta)

@@ -13,9 +13,13 @@ network evaluation per Newton iteration, which gives the stresses and the
 residual. The tangent is read off the same evaluation only when the
 residual check fails, just before the linear solve, so the iteration
 that confirms convergence builds none. The assemblies of one solve share
-one workspace, whose buffers each of them overwrites. A load step that
-fails is retried from its last converged state with its increment
-halved, to a fixed depth.
+one workspace, whose buffers each of them overwrites.
+
+A solve walks one load loop over its ramps: one full-load step from a
+held displacement, if there is one, then the cold ramp from zero, whose
+failed load steps are retried from their last converged state with the
+increment halved, to a fixed depth. A discarded Newton attempt's
+warnings carry the prefix "discarded Newton attempt: ".
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
@@ -357,7 +361,8 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     increment halved, at most CUTBACK_DEPTH times per load step.
     newton_norms holds one list of residual norms per converged increment,
     in order: n_steps lists when no step was cut back, one more per cut;
-    failed attempts leave none. Raises
+    failed attempts leave none, and their warnings are re-emitted prefixed
+    with "discarded Newton attempt: ". Raises
     ValueError for a tolerance that is not finite and positive or a step or
     iteration count below 1, and RuntimeError if a load step still fails
     at the smallest increment.
@@ -365,9 +370,10 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     _workspace is an _AssemblyWorkspace held by a caller that solves the
     same mesh with the same bc_dofs many times (invert_orientation): its
     band plan and buffers serve every solve. When it holds the displacement
-    of an earlier converged solve, Newton first runs from there at full
-    load in one step, and falls back to the cold ramp from zero if that
-    fails. None gives a throwaway one, so the solve starts cold.
+    of an earlier converged solve, the load loop first walks a warm ramp
+    from there: the full load in one step, with no cuts. It walks the cold
+    ramp from zero only if that fails. None gives a throwaway one, so the
+    solve starts cold.
     """
     bc_dofs = np.asarray(bc_dofs, dtype=int)
     bc_values = np.asarray(bc_values, dtype=float)
@@ -389,39 +395,52 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     if held.plan is None:
         held.plan = band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof), bc_dofs))
 
-    def newton(u, first=False):
-        return _newton(mesh, quad, model, D, u, structure, held, tol, max_iter, first)
-
-    last = None
+    # (start displacement, load steps, cuts allowed per step): a held
+    # displacement's one full-load step, then the cold ramp from zero
+    ramps = [(np.zeros(mesh.n_dof), n_steps, CUTBACK_DEPTH)]
     if held.u is not None:
-        u = held.u.copy()
-        u[bc_dofs] = bc_values
-        norms, last = newton(u)
-        norms_per_step = [norms]
-    if last is None:
-        u = np.zeros(mesh.n_dof)
-        norms_per_step = []
-        for step in range(1, n_steps + 1):
+        ramps.insert(0, (held.u, 1, 0))
+    for ramp, (start, steps, depth) in enumerate(ramps):
+        u, norms_per_step = start.copy(), []
+        for step in range(1, steps + 1):
             converged = u.copy()
             done, size, cuts = 0.0, 1.0, 0  # shares of the step: converged, next increment
             while done < 1.0:
-                u[bc_dofs] = bc_values * ((step - 1 + done + size) / n_steps)
+                u[bc_dofs] = bc_values * ((step - 1 + done + size) / steps)
+                first = ramp == len(ramps) - 1 and not norms_per_step and cuts == 0
                 last = None  # the last increment's arrays go before the next is built
-                norms, last = newton(u, first=not norms_per_step and cuts == 0)
+                try:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        norms, last = _newton(mesh, quad, model, D, u, structure, held, tol,
+                                              max_iter, first)
+                finally:
+                    _reemit(caught, kept=last is not None)
                 if last is not None:
                     done += size
                     converged[:] = u
                     norms_per_step.append(norms)
-                elif cuts < CUTBACK_DEPTH:
+                elif cuts < depth:
                     u[:] = converged
                     size, cuts = size / 2.0, cuts + 1
                 else:
-                    raise RuntimeError(f"Newton did not converge in load step {step} after "
-                                       f"{max_iter} iterations (residual "
-                                       f"{(norms or [np.nan])[-1]:.3e}), its increment halved "
-                                       f"{CUTBACK_DEPTH} times")
-    held.u = u
-    return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
+                    break
+            if done < 1.0:
+                break
+        else:
+            held.u = u
+            return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
+    raise RuntimeError(f"Newton did not converge in load step {step} after {max_iter} "
+                       f"iterations (residual {(norms or [np.nan])[-1]:.3e}), its increment "
+                       f"halved {CUTBACK_DEPTH} times")
+
+
+def _reemit(caught, kept):
+    """Emit one Newton attempt's recorded warnings, prefixed if it was discarded."""
+    registry = globals().setdefault("__warningregistry__", {})
+    for w in caught:
+        message = w.message if kept else f"discarded Newton attempt: {w.message}"
+        warnings.warn_explicit(message, w.category, w.filename, w.lineno, registry=registry)
 
 
 def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter, first):

@@ -640,6 +640,66 @@ def test_load_model_rejects_non_finite_numbers(tmp_path, field):
     cli._read_checkpoint(path)  # a diverged checkpoint loads as written
 
 
+@pytest.fixture(scope="module")
+def trans_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "transiso.json"
+    m = energy.new_model(2, aniso_class="transiso", width_x=4, width_y=4, depth=1, seed=5)
+    m.aniso.alpha_bar = np.array([0.4, -0.3])
+    m.d_bounds = np.array([[1.0, 5.0], [3.0, 7.0]])
+    m.meta["trained_epochs"] = 0
+    energy.save_model(m, path)
+    return path
+
+
+def _set(*keys, value):
+    """A corruption that sets payload[keys[0]][keys[1]]... to value."""
+    def corrupt(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value(payload[keys[-1]]) if callable(value) else value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    pytest.param(_set("architecture", value=lambda a: list(a.values())), "architecture",
+                 id="architecture-list"),
+    pytest.param(_set("architecture", "width_x", value="4"), "architecture.width_x",
+                 id="width_x-string"),
+    pytest.param(_set("aniso", value=3), "aniso", id="aniso-int"),
+    pytest.param(_set("config", value=None), "config", id="config-null"),
+    pytest.param(_set("aniso", "phi", value="0.5"), "aniso.phi", id="phi-string"),
+    pytest.param(_set("aniso", "phi", value=None), "aniso.phi", id="phi-null"),
+    pytest.param(_set("aniso", "p_raw", value=lambda p: p[:2]), "aniso.p_raw", id="p_raw-2"),
+    pytest.param(_set("aniso", "alpha_bar", value=lambda a: a + [0.0]), "aniso.alpha_bar",
+                 id="alpha_bar-3"),
+    pytest.param(_set("d_bounds", value=lambda d: sum(d, [])), "d_bounds", id="d_bounds-flat"),
+    pytest.param(_set("d_bounds", value=lambda d: [d[0] + [9.0]]), "d_bounds", id="d_bounds-1x3"),
+    pytest.param(_set("weights", value=lambda w: list(w.values())), "weights", id="weights-list"),
+    pytest.param(_set("meta", value=[]), "meta", id="meta-list"),
+])
+def test_a_malformed_checkpoint_field_exits_4_and_is_named(root, trans_ckpt, tmp_path, capsys,
+                                                            corrupt, field):
+    payload = json.loads(trans_ckpt.read_text())
+    corrupt(payload)
+    bad = tmp_path / "corrupt.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli("probe-isotropy", "--model", bad, "--d", "3.0,5.0", "--n-gamma", "3",
+                 "--runs-root", root, "--run", "probe-corrupt")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and f"{field} must be" in err
+
+
+def test_checkpoints_round_trip_byte_for_byte(root, iso_ckpt, trans_ckpt, tmp_path, capsys):
+    """The field checks change nothing a valid checkpoint loads into."""
+    for path in (iso_ckpt, trans_ckpt):
+        energy.save_model(energy.load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    rc = run_cli("probe-isotropy", "--model", trans_ckpt, "--d", "3.0,5.0", "--n-gamma", "3",
+                 "--runs-root", root, "--run", "probe-trans")
+    assert rc == 0
+
+
 def test_study_samples_emits_loss_csvs(root, capsys):
     rc = run_cli(
         "study-samples", "--model", "neo-hookean", "--known-class", "iso",

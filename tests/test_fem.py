@@ -389,6 +389,41 @@ def test_a_diverging_load_step_is_cut_back_and_matches_a_many_step_solve():
     assert np.max(np.abs(cut.S - many.S)) <= 1e-8 * np.max(np.abs(many.S))
 
 
+def cut_back_patch():
+    """The 1.2-stretch patch whose single full step fails and is cut back."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model = energy.new_model(2, mode="polyconvex", aniso_class="transiso", width_x=8, width_y=6,
+                             depth=2, seed=3)
+    return mesh, model, np.array([2.0, 3.0])
+
+
+def test_a_discarded_attempts_warnings_say_so():
+    """The failed full step's indefinite stiffness is reported as discarded;
+    the two kept half steps warn about nothing."""
+    mesh, model, D = cut_back_patch()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cut = fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.2), n_steps=1)
+    assert len(cut.newton_norms) == 2
+    messages = {str(w.message) for w in caught}
+    assert messages == {"discarded Newton attempt: global stiffness is not positive definite; "
+                        "continuing with a general direct solve"}
+    assert {w.category for w in caught} == {UserWarning}
+
+
+def test_a_kept_attempts_warnings_pass_unchanged():
+    """A solve at a design outside the declared ranges converges, and its
+    extrapolation warning reaches the caller as the model wrote it."""
+    mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
+    bc_dofs, bc_values = fem.stretch_bc(mesh, 1.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fem.solve_displacement(mesh, tiny_model("iso", seed=5), [6.0, 3.0], bc_dofs, bc_values,
+                               n_steps=1)
+    assert caught
+    assert all(str(w.message).startswith("design parameters outside") for w in caught)
+
+
 def test_bc_validation():
     mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
     model = tiny_model("iso")
@@ -766,6 +801,26 @@ def test_a_failed_warm_step_ramps_cold_bit_for_bit():
     for name in ("u", "F", "S", "reactions"):
         assert np.array_equal(getattr(fallback, name), getattr(cold, name)), name
     assert fallback.newton_norms == cold.newton_norms
+
+
+def test_a_failed_warm_step_falls_back_into_a_cut_cold_ramp_bit_for_bit():
+    """From a held 1.02 stretch the full 1.2 step fails; the one-step cold
+    ramp after it is cut back into two halves, as a direct cold solve is."""
+    mesh, model, D = cut_back_patch()
+    bc_dofs, small = fem.stretch_bc(mesh, 1.02)
+    large = fem.stretch_bc(mesh, 1.2)[1]
+    held = fem._AssemblyWorkspace()
+    fem.solve_displacement(mesh, model, D, bc_dofs, small, n_steps=1, _workspace=held)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the failed steps' indefinite stiffness
+        fallback = fem.solve_displacement(mesh, model, D, bc_dofs, large, n_steps=1,
+                                          _workspace=held)
+        cold = fem.solve_displacement(mesh, model, D, bc_dofs, large, n_steps=1)
+    assert len(fallback.newton_norms) == 2
+    for name in ("u", "F", "S", "reactions"):
+        assert np.array_equal(getattr(fallback, name), getattr(cold, name)), name
+    assert fallback.newton_norms == cold.newton_norms
+    assert np.array_equal(held.u, cold.u.ravel())
 
 
 def test_invert_orientation_raises_on_configuration_errors():
