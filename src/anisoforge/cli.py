@@ -168,7 +168,7 @@ SECTIONS = {
 
 def load_config(path):
     """Parse and validate an INI config into {section: {key: value}}."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a "%" is a plain character
     try:
         with open(path) as f:
             parser.read_file(f)
@@ -240,7 +240,7 @@ def _fmt_value(value):
 
 def echo_config(run, sections):
     """Write the resolved configuration the command actually used."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for name, resolved in sections.items():
         parser[name] = {
             key: _fmt_value(value) for key, value in sorted(resolved.items()) if value is not None

@@ -248,16 +248,10 @@ def extrapolating(model, D):
     return np.any((D < lo - 1e-12) | (D > hi + 1e-12), axis=1)
 
 
-def _check_design(model, D, stacklevel=4):
+def _check_design(D):
     D = np.atleast_2d(np.asarray(D, dtype=float))
     if not np.all(np.isfinite(D)):
         raise ValueError("design parameters contain non-finite entries")
-    if np.any(extrapolating(model, D)):
-        warnings.warn(
-            "design parameters outside the declared training ranges; "
-            "the surrogate is extrapolating",
-            stacklevel=stacklevel,
-        )
     return D
 
 
@@ -415,7 +409,11 @@ def _evaluate(model, C, D, structure=None, check=False, ws=None):
         if check:
             tc.check_metric(C)
         cw = tc.c_workspace(C.reshape(-1, 3, 3))
-    uD, group = _designs(_check_design(model, D), cw.C.shape[0])
+    D = _check_design(D)
+    if np.any(extrapolating(model, D)):  # warned at psi's, stress's or tangent's caller
+        warnings.warn("design parameters outside the declared training ranges; "
+                      "the surrogate is extrapolating", stacklevel=3)
+    uD, group = _designs(D, cw.C.shape[0])
     ws = _workspace(cw, group, uD.shape[0]) if ws is None else ws
     return _Evaluation(model, ws, uD, _resolve_structure(model, structure)), single
 
@@ -452,9 +450,10 @@ def stress_per_design(model, C, D, structure=None):
     tiled_workspace(C, G), which a caller evaluating G designs at a time
     holds across calls. structure is as for stress, or holds one (G, 3, 3)
     stack per tensor, one tensor per design. All G x B rows go through one
-    evaluation whose design path runs once per design.
+    evaluation whose design path runs once per design. It does not warn
+    about extrapolation: a caller of many candidates counts it instead.
     """
-    D = _check_design(model, D, stacklevel=3)
+    D = _check_design(D)
     ws = C if isinstance(C, Workspace) else tiled_workspace(C, D.shape[0])
     ev = _Evaluation(model, ws, D, _resolve_structure(model, structure, D.shape[0]))
     return ev.stress().reshape(D.shape[0], -1, 3, 3)

@@ -18,8 +18,9 @@ one workspace, whose buffers each of them overwrites.
 A solve walks one load loop over its ramps: one full-load step from a
 held displacement, if there is one, then the cold ramp from zero, whose
 failed load steps are retried from their last converged state with the
-increment halved, to a fixed depth. A discarded Newton attempt's
-warnings carry the prefix "discarded Newton attempt: ".
+increment halved, to a fixed depth. An attempt whose linear solves fell
+back to a general solve (below) warns once, prefixed "discarded Newton
+attempt: " if it failed; extrapolation warnings are never prefixed.
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
@@ -347,6 +348,9 @@ def von_mises_max(state):
 
 # a failed load step restarts with its increment halved, at most this many times
 CUTBACK_DEPTH = 4
+# a Newton attempt fails once its residual exceeds this multiple of its first
+DIVERGED = 1e3
+NOT_SPD = "global stiffness is not positive definite; continuing with a general direct solve"
 
 
 def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
@@ -356,16 +360,18 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
     steps); all remaining dofs are free and carry no external load. A load
     step whose Newton loop fails (no convergence within max_iter
-    iterations, a non-finite residual, tangent or network input, or a
-    singular linear solve) restarts from the last converged displacement with its
-    increment halved, at most CUTBACK_DEPTH times per load step.
+    iterations, a non-finite residual, tangent or network input, a residual
+    above DIVERGED times the attempt's first, or a singular linear solve)
+    restarts from the last converged displacement with its increment
+    halved, at most CUTBACK_DEPTH times per load step.
     newton_norms holds one list of residual norms per converged increment,
     in order: n_steps lists when no step was cut back, one more per cut;
-    failed attempts leave none, and their warnings are re-emitted prefixed
-    with "discarded Newton attempt: ". Raises
-    ValueError for a tolerance that is not finite and positive or a step or
-    iteration count below 1, and RuntimeError if a load step still fails
-    at the smallest increment.
+    failed attempts leave none. An attempt whose linear solves fell back to
+    a general solve warns once, prefixed "discarded Newton attempt: " if it
+    failed; extrapolation warnings are never prefixed. Raises ValueError
+    for a tolerance that is not finite and positive or a step or iteration
+    count below 1, and RuntimeError if a load step still fails at the
+    smallest increment.
 
     _workspace is an _AssemblyWorkspace held by a caller that solves the
     same mesh with the same bc_dofs many times (invert_orientation): its
@@ -409,13 +415,11 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
                 u[bc_dofs] = bc_values * ((step - 1 + done + size) / steps)
                 first = ramp == len(ramps) - 1 and not norms_per_step and cuts == 0
                 last = None  # the last increment's arrays go before the next is built
-                try:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        norms, last = _newton(mesh, quad, model, D, u, structure, held, tol,
-                                              max_iter, first)
-                finally:
-                    _reemit(caught, kept=last is not None)
+                norms, fallbacks, last = _newton(mesh, quad, model, D, u, structure, held, tol,
+                                                 max_iter, first)
+                if fallbacks:
+                    prefix = "" if last is not None else "discarded Newton attempt: "
+                    warnings.warn(prefix + NOT_SPD)
                 if last is not None:
                     done += size
                     converged[:] = u
@@ -435,27 +439,21 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
                        f"halved {CUTBACK_DEPTH} times")
 
 
-def _reemit(caught, kept):
-    """Emit one Newton attempt's recorded warnings, prefixed if it was discarded."""
-    registry = globals().setdefault("__warningregistry__", {})
-    for w in caught:
-        message = w.message if kept else f"discarded Newton attempt: {w.message}"
-        warnings.warn_explicit(message, w.category, w.filename, w.lineno, registry=registry)
-
-
 def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter, first):
     """Newton iterations on u, in place, at its prescribed values.
 
-    Returns the residual norms and the last assembly, or the norms and None
-    when the residual does not fall below tol within max_iter iterations or
-    is not finite, an assembly finds a network input that is not, or the
-    linear solve finds the free block singular or not finite. Only in the
-    first increment from zero does the first assembly raise, as it would
-    anywhere else: its fault is the configuration's, not a candidate's.
+    Returns the residual norms, the count of linear solves that fell back
+    to a general solve, and the last assembly, or None in its place when
+    the residual does not fall below tol within max_iter iterations, is not
+    finite or exceeds DIVERGED times the first, an assembly finds a network
+    input that is not, or the linear solve finds the free block singular or
+    not finite. Only in the first increment from zero does the first
+    assembly raise, as it would anywhere else: its fault is the
+    configuration's, not a candidate's.
     The tangent is built only before a linear solve.
     """
     free = aw.plan.order
-    norms = []
+    norms, fallbacks = [], 0
     for it in range(max_iter):
         try:
             last = assemble(mesh, quad, model, D, u, structure=structure, with_tangent=False,
@@ -468,14 +466,16 @@ def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter, first):
         norm = float(np.max(np.abs(r_f))) if free.size else 0.0
         norms.append(norm)
         if norm < tol:
-            return norms, last
-        if not np.isfinite(norm):
+            return norms, fallbacks, last
+        if not np.isfinite(norm) or norm > DIVERGED * norms[0]:
             break
         try:
-            u[free] += aw.plan.solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
+            du, banded = aw.plan._solve(_tangent(mesh, quad, aw, last.F, last.S), -r_f)
         except (RuntimeError, ValueError):  # splu finds K singular, solveh_banded not finite
             break
-    return norms, None
+        u[free] += du
+        fallbacks += not banded
+    return norms, fallbacks, None
 
 
 @dataclass
@@ -502,12 +502,17 @@ class BandPlan:
         """x with K[order][:, order] x = b: banded Cholesky, or a general
         sparse direct solve with a warning when the block is not positive
         definite. The Cholesky factor overwrites the band."""
+        x, banded = self._solve(K, b)
+        if not banded:
+            warnings.warn(NOT_SPD)
+        return x
+
+    def _solve(self, K, b):
+        """(x of solve, whether the banded Cholesky solved it), without the warning."""
         try:
-            return scipy.linalg.solveh_banded(self.band(K), b, overwrite_ab=True)
+            return scipy.linalg.solveh_banded(self.band(K), b, overwrite_ab=True), True
         except np.linalg.LinAlgError:
-            warnings.warn("global stiffness is not positive definite; "
-                          "continuing with a general direct solve")
-            return scipy.sparse.linalg.splu(K[self.order][:, self.order]).solve(b)
+            return scipy.sparse.linalg.splu(K[self.order][:, self.order]).solve(b), False
 
 
 def band_plan(quad, free):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -328,7 +327,7 @@ def stress_mismatch(model, C, S_obs, D, structure=None):
     giving (G,) from one energy.stress_per_design call; structure may then
     hold one (G, 3, 3) stack per tensor. C may also be a tc.CWorkspace or an
     energy.tiled_workspace for G designs, which a caller holding C fixed
-    builds once.
+    builds once. It does not warn about extrapolation; invert_design counts it.
     """
     D = np.asarray(D, dtype=float)
     res = energy.stress_per_design(model, C, np.atleast_2d(D), structure=structure) - S_obs
@@ -420,20 +419,18 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
 
     def objective(X):
         """Stress mismatch of each candidate row of X, (k,); inf where a candidate fails."""
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "design parameters outside the declared training ranges")
-            try:
-                return mismatch(X)
-            except failures:
-                # a faulty candidate (a zero rotation axis, a non-finite design) fails the
-                # whole batch: evaluate each alone, so only it gets inf
-                f = np.full(len(X), np.inf)
-                for i in range(len(X)):
-                    try:
-                        f[i] = mismatch(X[i : i + 1])[0]
-                    except failures:
-                        pass
-                return f
+        try:
+            return mismatch(X)
+        except failures:
+            # a faulty candidate (a zero rotation axis, a non-finite design) fails the
+            # whole batch: evaluate each alone, so only it gets inf
+            f = np.full(len(X), np.inf)
+            for i in range(len(X)):
+                try:
+                    f[i] = mismatch(X[i : i + 1])[0]
+                except failures:
+                    pass
+            return f
 
     opts = dict(options or {})
     step = opts.pop("step", None)

@@ -225,12 +225,10 @@ def axis_angle_from_rotation(R):
     d = np.clip((np.diag(R) + 1.0) / 2.0, 0.0, None)
     k = int(np.argmax(d))
     p = np.sqrt(d)
-    # fix signs from the off-diagonal products p_i p_j = (R_ij + R_ji)/4
+    # fix signs from the off-diagonal products p_i p_j = (R_ij + R_ji)/4, keeping p_k >= 0
     for j in range(3):
         if j != k and (R[k, j] + R[j, k]) < 0.0:
             p[j] = -p[j]
-    if p[k] < 0.0:
-        p = -p
     return phi, p / np.linalg.norm(p)
 
 

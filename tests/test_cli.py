@@ -717,6 +717,83 @@ def test_study_samples_emits_loss_csvs(root, capsys):
     assert set(report["final_losses"]) == {"5", "8"}
 
 
+def _wide_dataset(path, trans_dataset):
+    """The transiso dataset with a third design column."""
+    ds = dg.load_dataset(trans_dataset)
+    dg.save_dataset(dg.Dataset(np.column_stack([ds.D, ds.D[:, :1]]), ds.C, ds.S,
+                               ds.param_names + ["c9"], {}), path)
+    return path
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["gen-data", "--model", "neo-hookean", "--threads=0"], 2,
+     "--threads expects a positive integer, got '0'"),
+    (["gen-data", "--model", "neo-hookean", "--threads", "0"], 2,
+     "--threads expects a positive integer, got '0'"),
+    (["gen-data", "--config", "{tmp}/missing.ini"], 4, "cannot read config file"),
+    (["gen-data", "--config", "{headless}"], 2, "malformed config file"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--lengths", "4,a,1"], 2,
+     "--lengths must be comma-separated numbers, got '4,a,1'"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--lengths", "4,1"], 2,
+     "--lengths must have 3 entries, got 2"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--divisions", "8,x,2"], 2,
+     "--divisions must be ','-separated integers, got '8,x,2'"),
+    (["gen-data", "--model", "aniso-hgo", "--class", "iso"], 2,
+     "unknown --class 'iso'; expected trans, ortho"),
+    (["gen-data", "--model", "neo-hookean", "--class", "trans"], 2,
+     "neo-hookean is isotropic; drop --class"),
+    (["gen-data", "--model", "mooney"], 2, "unknown --model 'mooney'"),
+    (["fem", "--model", "{iso}"], 2, "--d is required"),
+    (["gen-data", "--model", "neo-hookean", "--grid", "0x2"], 2, "--grid counts must be positive"),
+    (["invert", "--model", "{trans}", "--data", "{wide}"], 4,
+     "checkpoint expects 2 design parameters, target dataset has 3"),
+    (["study-samples", "--model", "neo-hookean", "--sizes", "5,0"], 2,
+     "--sizes entries must be positive"),
+], ids=["threads=0", "threads-0", "config-unreadable", "config-malformed", "lengths-not-numbers",
+        "lengths-count", "divisions-not-integers", "class-unknown", "class-for-neo-hookean",
+        "model-unknown", "d-missing", "grid-0", "design-width", "sizes-0"])
+def test_a_bad_input_exits_with_its_code_and_message(root, iso_ckpt, trans_ckpt, trans_dataset,
+                                                     tmp_path, capsys, argv, code, message):
+    headless = tmp_path / "headless.ini"
+    headless.write_text("nf = 5\n")
+    paths = {"tmp": tmp_path, "headless": headless, "iso": iso_ckpt, "trans": trans_ckpt}
+    if "{wide}" in argv:
+        paths["wide"] = _wide_dataset(tmp_path / "wide.txt", trans_dataset)
+    rc = run_cli(*(a.format(**paths) for a in argv), "--runs-root", root, "--run", "bad-input")
+    assert rc == code
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_set("architecture", "depth", value=0), "architecture.depth must be at least 1",
+                 id="depth-0"),
+    pytest.param(_set("weights", "W_extra", value=[1.0]),
+                 "weight 'W_extra' is not part of the architecture", id="unknown-weight"),
+])
+def test_a_checkpoint_out_of_its_architecture_exits_4(root, trans_ckpt, tmp_path, capsys,
+                                                      corrupt, message):
+    payload = json.loads(trans_ckpt.read_text())
+    corrupt(payload)
+    bad = tmp_path / "corrupt.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli("probe-isotropy", "--model", bad, "--d", "3.0,5.0", "--n-gamma", "3",
+                 "--runs-root", root, "--run", "probe-arch")
+    assert rc == 4
+    assert message in capsys.readouterr().err
+
+
+def test_invert_free_orientation_reports_the_fitted_directions(root, trans_ckpt, trans_dataset):
+    rc = run_cli("invert", "--model", trans_ckpt, "--data", trans_dataset, "--free-orientation",
+                 "--restarts", "1", "--max-evals", "24", "--runs-root", root, "--run", "inv-free")
+    assert rc == 0
+    report = json.loads((root / "inv-free" / "reports" / "inversion.json").read_text())
+    orientation = report["orientation"]
+    assert set(orientation) == {"phi", "axis", "n1", "n2"}
+    n1, n2 = np.array(orientation["n1"]), np.array(orientation["n2"])
+    assert abs(n1 @ n1 - 1.0) < 1e-12 and abs(n2 @ n2 - 1.0) < 1e-12 and abs(n1 @ n2) < 1e-12
+    assert len(report["design"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # thread capping
 
@@ -734,6 +811,13 @@ def test_thread_cap_env_fallback(monkeypatch):
     monkeypatch.setenv("ANISOFORGE_THREADS", "3")
     cli._apply_thread_cap(["train"])
     assert all(__import__("os").environ[v] == "3" for v in cli.THREAD_VARS)
+
+
+def test_thread_cap_reads_the_equals_form(monkeypatch):
+    for var in cli.THREAD_VARS + ("ANISOFORGE_THREADS",):
+        monkeypatch.delenv(var, raising=False)
+    cli._apply_thread_cap(["probe-isotropy", "--threads=2"])
+    assert all(__import__("os").environ[v] == "2" for v in cli.THREAD_VARS)
 
 
 def test_thread_cap_rejects_garbage():
@@ -888,6 +972,17 @@ def test_config_value_outside_choices_exits_2(root, iso_ckpt, iso_dataset, tmp_p
                  "--runs-root", root, "--run", "cfg-choice")
     assert rc == 2
     assert "inverse.method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["5%", "%(x)s"])
+def test_a_percent_in_a_config_value_is_read_as_written(root, tmp_path, capsys, value):
+    """No value interpolates: a "%" is a character, here of a bad count."""
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(f"[data]\nmodel = neo-hookean\nnf = {value}\n")
+    rc = run_cli("gen-data", "--config", cfg, "--out", tmp_path / "d.txt",
+                 "--runs-root", root, "--run", "cfg-percent")
+    assert rc == 2
+    assert f"bad value for data.nf: {value!r}" in capsys.readouterr().err
 
 
 def test_config_booleans_parse_off_and_reject_maybe(root, tmp_path, capsys):

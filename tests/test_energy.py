@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,22 @@ def test_design_bounds_warning():
     m.d_bounds = np.array([[1.0, 5.0], [1.0, 5.0]])
     with pytest.warns(UserWarning, match="extrapolating"):
         energy.stress(m, np.eye(3), np.array([9.0, 2.0]))
+
+
+def test_stress_per_design_counts_on_its_caller_and_does_not_warn():
+    """The held route of many candidates rejects a non-finite design but
+    leaves extrapolation to its caller (inverse.invert_design counts it)."""
+    m = tiny_model()
+    m.d_bounds = np.array([[1.0, 5.0], [1.0, 5.0]])
+    C = rand_spd(np.random.default_rng(2), 3)
+    D = np.array([[9.0, 2.0], [3.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = energy.stress_per_design(m, C, D)
+        with pytest.raises(ValueError, match="non-finite"):
+            energy.stress_per_design(m, C, np.array([[np.nan, 2.0]]))
+    assert S.shape == (2, 3, 3, 3)
+    assert list(energy.extrapolating(m, D)) == [True, False]
 
 
 def test_invalid_inputs():

@@ -424,6 +424,73 @@ def test_a_kept_attempts_warnings_pass_unchanged():
     assert all(str(w.message).startswith("design parameters outside") for w in caught)
 
 
+def test_a_diverging_newton_attempt_stops_once_its_residual_passes_diverged():
+    """The failed full step of the cut-back patch goes 4.1e-2, 9.4, 6.9e4:
+    its third residual is past DIVERGED times its first, so it stops there."""
+    mesh, model, D = cut_back_patch()
+    bc_dofs, bc_values = fem.stretch_bc(mesh, 1.2)
+    quad = mesh.quadrature
+    aw = fem._AssemblyWorkspace(plan=fem.band_plan(quad, np.setdiff1d(np.arange(mesh.n_dof),
+                                                                      bc_dofs)))
+    u = np.zeros(mesh.n_dof)
+    u[bc_dofs] = bc_values
+    norms, fallbacks, last = fem._newton(mesh, quad, model, D, u, None, aw, 1e-9, 25, True)
+    assert last is None
+    assert len(norms) <= 3
+    assert norms[-1] > fem.DIVERGED * norms[0]
+    assert fallbacks >= 1
+
+
+def test_a_fallback_warns_once_per_attempt():
+    """The discarded attempt falls back to a general solve at more than one
+    iteration; it warns once."""
+    mesh, model, D = cut_back_patch()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.2), n_steps=1)
+    assert [str(w.message) for w in caught] == ["discarded Newton attempt: " + fem.NOT_SPD]
+
+
+def test_repeated_cut_back_solves_warn_once_under_the_default_filter():
+    """No solve resets the once-per-location registry of the default filter."""
+    mesh, model, D = cut_back_patch()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.2), n_steps=1)
+    assert sum("not positive definite" in str(w.message) for w in caught) == 1
+
+
+def test_a_discarded_attempts_extrapolation_warning_is_not_prefixed():
+    """The extrapolation warning describes the design, not the attempt."""
+    mesh, model, D = cut_back_patch()
+    model.d_bounds = np.array([[1.0, 1.5], [1.0, 1.5]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.2), n_steps=1)
+    assert {str(w.message) for w in caught} == {
+        "discarded Newton attempt: " + fem.NOT_SPD,
+        "design parameters outside the declared training ranges; the surrogate is extrapolating"}
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    # the first assembly's fault is the configuration's: it raises as it is
+    pytest.param("design", ValueError, "non-finite entries", id="first-assembly-raises"),
+    # every attempt ends at its non-finite residual, down to the smallest increment
+    pytest.param("weights", RuntimeError, r"residual nan\), its increment halved 4 times",
+                 id="non-finite-residual-ends-attempts"),
+])
+def test_a_non_finite_model_or_design_fails_the_solve(fault, error, match):
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model, D = tiny_model("iso", seed=7), np.array([2.0, 3.0])
+    if fault == "design":
+        D[0] = np.nan
+    else:
+        model.net.weights["wout"] = np.full_like(model.net.weights["wout"], np.nan)
+    with pytest.raises(error, match=match):
+        fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.1), n_steps=1)
+
+
 def test_bc_validation():
     mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
     model = tiny_model("iso")
@@ -838,6 +905,33 @@ def test_invert_orientation_raises_on_configuration_errors():
     with pytest.raises(ValueError, match="no node column at midspan"):
         fem.invert_orientation(fem.box_mesh(odd.lengths, odd.divisions), odd, model, restarts=1,
                                max_evals=5)
+
+
+def test_orientation_search_repairs_a_start_axis_near_zero_and_scores_a_zero_axis_inf(
+        monkeypatch):
+    """A start whose axis coordinates are all near zero is moved onto a
+    fixed axis; a candidate with a zero axis scores inf without a solve."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    cfg = fem.FemConfig(lengths=(2.0, 1.0, 1.0), divisions=(2, 1, 1), u0=0.05, n_steps=1,
+                        D=np.array([2.0, 4.0]))
+    seen = []
+
+    class MidBox:  # every draw lands on the middle of the box: axis coordinates 0
+        def random(self, n):
+            return np.full(n, 0.5)
+
+    def probe(objective, x0, **kwargs):
+        seen.append((x0.copy(), objective(np.array([1.0, 0.0, 0.0, 0.0]))))
+        return inverse.OptimizeResult(x0, objective(x0), 2, 1, "probe", [])
+
+    model = tiny_model("transiso", seed=9)
+    monkeypatch.setattr(fem.np.random, "default_rng", lambda seed: MidBox())
+    monkeypatch.setattr(inverse, "nelder_mead", probe)
+    fit = fem.invert_orientation(mesh, cfg, model, restarts=1)
+    (x0, zero_axis), = seen
+    assert np.array_equal(x0, [np.pi / 2, 0.3, 0.3, 0.9])
+    assert zero_axis == np.inf
+    assert np.isfinite(fit.objective)
 
 
 @pytest.mark.parametrize("target", ["assemble", "_tangent"])

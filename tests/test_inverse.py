@@ -301,6 +301,20 @@ def test_invert_lets_other_warnings_through(trained_like_model, monkeypatch):
         inverse.invert_design(model, C, S_obs, restarts=1, max_evals=12)
 
 
+def test_invert_keeps_the_once_per_location_registry(trained_like_model):
+    """A warning issued from one line before and after an inversion is shown
+    once under the default filter: invert_design resets no registry."""
+    model, C = trained_like_model
+    S_obs = energy.stress(model, C, np.array([2.3, 5.1]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for k in range(2):
+            warnings.warn("a caller's warning", UserWarning)
+            if k == 0:
+                inverse.invert_design(model, C, S_obs, restarts=1, max_evals=12)
+    assert [str(w.message) for w in caught] == ["a caller's warning"]
+
+
 def test_invert_nelder_mead_route(trained_like_model):
     model, C = trained_like_model
     D_true = np.array([4.2, 3.4])

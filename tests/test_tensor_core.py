@@ -42,6 +42,19 @@ def test_axis_angle_round_trip():
     assert np.max(np.abs(tc.rotation_from_axis_angle(phi2, p2) - R)) < 1e-8
 
 
+@pytest.mark.parametrize("phi", [0.0, 1e-9, np.pi - 1e-7, np.pi])
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 1.0], [1.0, -2.0, 0.5], [-0.3, 0.4, -1.0]])
+def test_axis_angle_round_trip_near_no_turn_and_a_half_turn(phi, axis):
+    """Near phi = 0 the axis is e3; near pi it is read off the symmetric
+    part, with the signs of the off-diagonal products."""
+    R = tc.rotation_from_axis_angle(phi, axis)
+    phi2, p2 = tc.axis_angle_from_rotation(R)
+    assert 0.0 <= phi2 <= np.pi
+    if phi < 1e-8:
+        assert phi2 == 0.0 and np.array_equal(p2, [0.0, 0.0, 1.0])
+    assert np.max(np.abs(tc.rotation_from_axis_angle(phi2, p2) - R)) <= 2e-7
+
+
 def test_structure_tensors_orthogonal_unit_trace():
     N1, N2, R = tc.structure_tensors(0.73, [0.2, -1.1, 0.4])
     for N in (N1, N2):
