@@ -168,7 +168,9 @@ SECTIONS = {
 
 def load_config(path):
     """Parse and validate an INI config into {section: {key: value}}."""
-    parser = configparser.ConfigParser(interpolation=None)  # a "%" is a plain character
+    # a "%" is a plain character, and with no default section [DEFAULT] is
+    # an ordinary one, which the section check below rejects
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as f:
             parser.read_file(f)
@@ -269,11 +271,14 @@ def _floats(raw, n=None, what="value list"):
     return values
 
 
-def _ints(raw, sep, what):
+def _ints(raw, sep, what, n=None):
     try:
-        return [int(x) for x in str(raw).split(sep)]
+        values = [int(x) for x in str(raw).split(sep)]
     except ValueError:
         raise UsageError(f"{what} must be {sep!r}-separated integers, got {raw!r}")
+    if n is not None and len(values) != n:
+        raise UsageError(f"{what} must have {n} entries, got {len(values)}")
+    return values
 
 
 CLASS_NAMES = {"iso": "iso", "trans": "transiso", "transiso": "transiso", "ortho": "ortho"}
@@ -387,7 +392,7 @@ def _fem_config(resolved, model):
         D=_design_vector(resolved["d"], model),
         p_raw=None if axis is None else np.asarray(_floats(axis, n=3, what="--axis")),
         lengths=tuple(_floats(resolved["lengths"], n=3, what="--lengths")),
-        divisions=tuple(_ints(resolved["divisions"], ",", "--divisions")),
+        divisions=tuple(_ints(resolved["divisions"], ",", "--divisions", n=3)),
         **{key: resolved[key] for key in ("u0", "n_steps", "tol", "max_iter", "phi")},
     )
 

@@ -372,7 +372,7 @@ class _Evaluation:
         """
         ws = self.ws
         B, n = self.Iu.shape
-        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=ws.cache, group=ws.rows)[:B]
+        H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=ws.cache)[:B]
         H[:, 2, 2] += growth_curvature(ws.J, self.model.config.gamma)
         rows = picnn.HESS_ROWS
         size = min(B, rows)
@@ -612,8 +612,7 @@ def loss_and_param_gradients(model, ws, want_stress=False):
     # reference-row seeds: the transpose of the map from g_ref to c_sn
     seed_ref = U @ _normalization_map(np.eye(n), ev.Ns, ev.alphas, cfg.mode).T
 
-    dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]),
-                              cache=ws.cache, group=ws.rows)
+    dnet, dX = picnn.backprop(model.net, ev.X, ws.uD, None, np.vstack([u, seed_ref]), cache=ws.cache)
 
     dalpha_bar = dphi = dp_raw = None
     if k and (aniso.trainable_alpha or aniso.trainable_orientation):

@@ -575,6 +575,10 @@ class FemConfig:
     p_raw: np.ndarray | None = None
 
     def __post_init__(self):
+        if len(self.lengths) != 3:
+            raise ValueError(f"lengths must have 3 entries, got {self.lengths}")
+        if len(self.divisions) != 3 or not all(isinstance(n, (int, np.integer)) for n in self.divisions):
+            raise ValueError(f"divisions must be 3 integers, got {self.divisions}")
         if not all(0.0 < L < np.inf for L in self.lengths):
             raise ValueError(f"beam dimensions must be finite and positive, got lengths {self.lengths}")
         if not 0.0 < self.tol < np.inf:

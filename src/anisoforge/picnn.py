@@ -51,6 +51,8 @@ array after its first call. Like numpy's out=, the psi and gradient
 value_and_grad returns and the Hessian hess_inputs returns for a passed
 cache are views into the cache and change when that cache is used again;
 backprop's dX and dtheta (views of one vector) are fresh and alias no buffer.
+The cache also holds the X, Y and group value_and_grad checked, so
+hess_inputs and backprop given a cache read them there and check nothing.
 """
 
 from __future__ import annotations
@@ -79,15 +81,11 @@ def softplus_sigmoid(z, sp=None, sig=None, tmp=None):
     e = np.exp(np.negative(np.abs(z, out=sig), out=sig), out=sig)
     np.add(np.log1p(e, out=sp), np.maximum(z, 0.0, out=tmp), out=sp)
     t = np.divide(1.0, np.add(e, 1.0, out=sig), out=sig)
-    # sigmoid = s + (1 - 2 s) t with s = [z < 0], bit for bit: (-1) t is
-    # exact and 1 + (-t) rounds as 1 - t does; a where= mask is slower
-    k = np.less(z, 0.0, out=tmp)
-    k *= -2.0
-    k += 1.0
-    t *= k
-    k -= 1.0
-    k *= -0.5
-    t += k
+    # sigmoid = 1/2 + sign(z) (t - 1/2), bit for bit: t is in [1/2, 1], so
+    # t - 1/2 is exact and 1/2 - (t - 1/2) rounds as 1 - t does
+    t -= 0.5
+    np.copysign(t, z, out=t)
+    t += 0.5
     return sp, t
 
 
@@ -199,12 +197,13 @@ class _Cache:
     hess holds hess_inputs' buffers, made by its first call: two transposed
     Jacobians (B, n_inv, width_x), the Hessian (B, n_inv, n_inv) and one
     block of HESS_ROWS curvature products.
-    scatter is the (group, matrix) pair backprop sums design-path adjoints
-    with, rebuilt only when the group changes. The design path (Ys, su) has
-    G rows and is allocated per call.
+    X, Y and group are the last forward pass's checked inputs. scatter is
+    the (group, matrix) pair backprop sums design-path adjoints with, rebuilt
+    only when the group changes. The design path (Ys, su) has G rows and is
+    allocated per call.
     """
 
-    __slots__ = ("shape", "X", "Y", "Xs", "Ys", "su", "sz", "A", "w", "psi",
+    __slots__ = ("shape", "X", "Y", "group", "Xs", "Ys", "su", "sz", "A", "w", "psi",
                  "d", "s", "g", "z", "tmp", "back", "hess", "scatter")
 
     def __init__(self, shape):
@@ -221,7 +220,7 @@ def _forward(params, X, Y, group=None, out=None):
     L = params.depth
     shape = (X.shape[0], params.n_inv, params.width_x, L)
     c = out if out is not None and out.shape == shape else _Cache(shape)
-    c.X, c.Y = X, Y
+    c.X, c.Y, c.group = X, Y, group
     c.A = [params.realized_xx(h) for h in range(L)]
     c.w = params.realized_out()
     c.Ys, c.su = [Y], []
@@ -295,13 +294,12 @@ def hess_inputs(params, X, Y, cache=None, group=None):
 
     which costs O(B wx n_inv (wx + n_inv)) rather than the O(B wx^3) of a
     backward recursion on (wx, wx) curvature matrices. A cache from
-    value_and_grad(..., return_cache=True) on the same inputs may be passed
-    to skip recomputing the forward and gradient passes; the Hessian is then
-    computed in the cache's buffers and returned as a view into them.
+    value_and_grad(..., return_cache=True) may be passed to skip the forward
+    and gradient passes; the inputs are then the cache's, checked when it was
+    built, and the Hessian is computed in its buffers and returned as a view.
     """
-    X, Y, group = _check_inputs(params, X, Y, group)
-    c = cache if cache is not None else _grad_pass(params, _forward(params, X, Y, group))
-    B, n = X.shape
+    c = cache or _grad_pass(params, _forward(params, *_check_inputs(params, X, Y, group)))
+    B, n = c.X.shape
     wx = params.width_x
     if c.hess is None:
         c.hess = (np.empty((B, n, wx)), np.empty((B, n, wx)), np.empty((B, n, n)),
@@ -328,11 +326,10 @@ def hess_inputs(params, X, Y, cache=None, group=None):
             b, k = slice(r, r + HESS_ROWS), min(HESS_ROWS, B - r)
             H[b] += np.matmul(JzT[b], W[b].transpose(0, 2, 1), out=P[:k])
         np.multiply(sp1[:, None, :], JzT, out=JxT)
-    # (H + H^T) / 2 in place, each pair i <= j summed once for both entries
-    i, j = np.triu_indices(n)
-    sym = H[:, i, j] + H[:, j, i]
-    sym *= 0.5
-    H[:, i, j] = H[:, j, i] = sym
+    # (H + H^T) / 2 in place: a + b and b + a round alike, so H stays exactly
+    # symmetric, and numpy buffers the overlapping transpose
+    H += H.transpose(0, 2, 1)
+    H *= 0.5
     return H
 
 
@@ -343,19 +340,16 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
     respect to the *free* parameters (squaring reparametrization included);
     dX is dQ/dx per batch row, i.e. seed_val*grad + Hessian @ seed_grad.
 
-    A cache from value_and_grad(..., return_cache=True) on the same inputs
-    may be passed to skip recomputing the forward and gradient passes. The
-    adjoints are computed in the cache's buffers; dX is fresh, and dtheta
-    is weight_views of one fresh vector, each gradient accumulated in place.
+    A cache from value_and_grad(..., return_cache=True) may be passed to skip
+    the forward and gradient passes; the inputs are then the cache's, checked
+    when it was built. The adjoints are computed in the cache's buffers; dX
+    is fresh, and dtheta is weight_views of one fresh vector.
     """
-    X, Y, group = _check_inputs(params, X, Y, group)
+    c = cache or _forward(params, *_check_inputs(params, X, Y, group))
+    if cache is None and seed_grad is not None:
+        _grad_pass(params, c)
     L = params.depth
-    B = X.shape[0]
-    if cache is None:
-        cache = _forward(params, X, Y, group)
-        if seed_grad is not None:
-            _grad_pass(params, cache)
-    c = cache
+    B = c.X.shape[0]
     if c.back is None:
         c.back = ([np.empty((B, params.width_x)) for _ in range(L)],
                   [None] + [np.empty((B, params.width_x)) for _ in range(L)])
@@ -363,10 +357,10 @@ def backprop(params, X, Y, seed_val=None, seed_grad=None, cache=None, group=None
     t1, t2 = c.tmp, c.z  # the forward pass's scratch
     # design-path adjoints are summed over the rows sharing a design row
     scatter = None
-    if group is not None:
-        if c.scatter is None or c.scatter[1].shape[0] != Y.shape[0] or not np.array_equal(
-                c.scatter[0], group):
-            c.scatter = (group.copy(), group_scatter(group, Y.shape[0]))
+    if c.group is not None:
+        if c.scatter is None or c.scatter[1].shape[0] != c.Y.shape[0] or not np.array_equal(
+                c.scatter[0], c.group):
+            c.scatter = (c.group.copy(), group_scatter(c.group, c.Y.shape[0]))
         scatter = c.scatter[1]
     g = weight_views(params)
     dYs = [np.zeros_like(c.Ys[h]) for h in range(L + 1)]

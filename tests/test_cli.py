@@ -125,6 +125,18 @@ def test_unknown_config_section(root, iso_dataset, tmp_path, capsys):
     assert "unknown config section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 1\n",
+                                  "[DEFAULT]\nseed = 4\n[data]\n[train]\n"],
+                         ids=["default-alone", "default-beside-sections"])
+def test_a_default_config_section_is_an_unknown_section(root, iso_dataset, tmp_path, capsys, text):
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text)
+    rc = run_cli("train", "--data", iso_dataset, "--config", cfg,
+                 "--runs-root", root, "--run", "cfg-default")
+    assert rc == 2
+    assert "error: unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 def test_flags_override_config_and_echo(root, iso_dataset, tmp_path):
     cfg = tmp_path / "train.ini"
     cfg.write_text("[train]\nepochs = 5\nwidth_x = 8\nwidth_y = 6\ndepth = 2\n")
@@ -738,6 +750,8 @@ def _wide_dataset(path, trans_dataset):
      "--lengths must have 3 entries, got 2"),
     (["fem", "--model", "{iso}", "--d", "3,3", "--divisions", "8,x,2"], 2,
      "--divisions must be ','-separated integers, got '8,x,2'"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--divisions", "8,2"], 2,
+     "--divisions must have 3 entries, got 2"),
     (["gen-data", "--model", "aniso-hgo", "--class", "iso"], 2,
      "unknown --class 'iso'; expected trans, ortho"),
     (["gen-data", "--model", "neo-hookean", "--class", "trans"], 2,
@@ -750,8 +764,8 @@ def _wide_dataset(path, trans_dataset):
     (["study-samples", "--model", "neo-hookean", "--sizes", "5,0"], 2,
      "--sizes entries must be positive"),
 ], ids=["threads=0", "threads-0", "config-unreadable", "config-malformed", "lengths-not-numbers",
-        "lengths-count", "divisions-not-integers", "class-unknown", "class-for-neo-hookean",
-        "model-unknown", "d-missing", "grid-0", "design-width", "sizes-0"])
+        "lengths-count", "divisions-not-integers", "divisions-count", "class-unknown",
+        "class-for-neo-hookean", "model-unknown", "d-missing", "grid-0", "design-width", "sizes-0"])
 def test_a_bad_input_exits_with_its_code_and_message(root, iso_ckpt, trans_ckpt, trans_dataset,
                                                      tmp_path, capsys, argv, code, message):
     headless = tmp_path / "headless.ini"

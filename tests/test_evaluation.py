@@ -476,6 +476,34 @@ def test_call_counts_loss_and_param_gradients():
     assert counts == {"cofactors": 0, "forward": 1, "unique": 0}
 
 
+def test_each_evaluation_checks_its_network_inputs_once(monkeypatch):
+    """value_and_grad checks X, Y and group; backprop and hess_inputs read
+    them from its cache, so a training epoch on a held workspace and a
+    tangent assembly each check the network's inputs once."""
+    calls = []
+
+    def counted(*args, _inner=picnn._check_inputs, **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(picnn, "_check_inputs", counted)
+    m = model_for("polyconvex", "ortho")
+    rng = np.random.default_rng(28)
+    C = rand_spd(rng, 6)
+    ws = energy.make_workspace(m, C, rng.uniform(1.0, 5.0, (2, 2))[np.arange(6) % 2], 0.1 * C)
+    energy.loss_and_param_gradients(m, ws)
+    calls.clear()
+    energy.loss_and_param_gradients(m, ws)
+    assert len(calls) == 1
+
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    u = 0.01 * rng.standard_normal(mesh.n_dof)
+    calls.clear()
+    res = fem.assemble(mesh, mesh.quadrature, m, np.array([2.0, 3.0]), u, with_tangent=True)
+    assert res.K is not None
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the multi-start driver
 

@@ -1012,6 +1012,13 @@ def test_fem_config_rejects_non_finite_lengths_and_tolerance():
         fem.FemConfig(tol=np.nan)
 
 
+@pytest.mark.parametrize("field, value", [("lengths", (4.0, 1.0)), ("divisions", (8, 2)),
+                                          ("divisions", (8.5, 2, 2))])
+def test_fem_config_names_a_malformed_geometry_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        fem.FemConfig(**{field: value})
+
+
 def test_quadrature_rejects_nan_jacobians():
     mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
     mesh.nodes[-1, 0] = np.nan

@@ -247,6 +247,34 @@ def test_softplus_sigmoid_is_bitwise_the_old_formula():
     assert same_bits(bufs[0], sp_ref) and same_bits(bufs[1], sig_ref)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(z=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_softplus_sigmoid_is_bitwise_the_old_formula_for_any_finite_input(z):
+    """Subnormals, signed zeros and |z| past exp's range included, with and without buffers."""
+    z = np.array(z)
+    sp_ref, sig_ref = old_softplus_sigmoid(z)
+    for bufs in ((), tuple(np.full_like(z, np.nan) for _ in range(3))):
+        sp, sig = picnn.softplus_sigmoid(z, *bufs)
+        assert same_bits(sp, sp_ref) and same_bits(sig, sig_ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(constrained=st.booleans(), grouped=st.booleans(), cached=st.booleans(),
+       depth=st.integers(1, 3), n_inv=st.sampled_from((4, 6, 8)), n=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+def test_hessian_is_exactly_symmetric(constrained, grouped, cached, depth, n_inv, n, seed):
+    rng = np.random.default_rng(seed)
+    p = picnn.init_params(n_inv, 2, width_x=5, width_y=4, depth=depth, constrained=constrained,
+                          seed=seed)
+    X, Y = rand_inputs(rng, n, n_inv=n_inv)
+    group = None
+    if grouped:
+        Y, group = Y[:2], rng.integers(0, min(n, 2), n)
+    cache = picnn.value_and_grad(p, X, Y, return_cache=True, group=group)[2] if cached else None
+    H = picnn.hess_inputs(p, X, Y, cache=cache, group=group)
+    assert same_bits(H, H.transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("grouped", [False, True])
 def test_reused_cache_matches_fresh_calls(grouped):
     """value_and_grad, hess_inputs and backprop on a cache passed back as out
