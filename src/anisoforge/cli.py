@@ -263,7 +263,7 @@ def write_json(path, payload):
 
 def _floats(raw, n=None, what="value list"):
     try:
-        values = [float(x) for x in str(raw).split(",") if x.strip() != ""]
+        values = [float(x) for x in str(raw).split(",")]
     except ValueError:
         raise UsageError(f"{what} must be comma-separated numbers, got {raw!r}")
     if n is not None and len(values) != n:

@@ -51,7 +51,9 @@ All of these are views of one evaluation of a Workspace and design rows
 uD. The Workspace holds what stays fixed across calls on one set of B
 samples: their C-workspace (tc.CWorkspace: C, cof, det, J, C^-1), the
 sample -> design-row index group, a basis stack whose isotropic slots are
-computed once, and the network cache. One-shot psi, stress, tangent and
+computed once, the network cache, and the anisotropic bases and network
+rows (the scaled invariants) of the last call, held until C, the
+structure tensors or the activities change. One-shot psi, stress, tangent and
 normalization_coefficients build a throwaway one; make_workspace adds the
 training data; design inversion holds one tiled_workspace per candidate
 count (C repeated per design, group = repeat(arange(G), B)) and passes it
@@ -315,26 +317,22 @@ class _Evaluation:
     Ns are the active unit structure tensors, each (3, 3) or a (G, 3, 3)
     stack whose tensor g the samples of design g take. The invariants and
     bases are taken of Ns and scaled by (1, 1, 1, 1, a1, a1, a2, a2) where
-    they meet the network. The sample rows and one reference row per design
-    go through a single network call whose design path runs once per
-    design; psi, S, CC and the training loss are read off this one
-    evaluation, which rewrites the workspace's buffers.
+    they meet the network; the workspace holds them. The sample rows and
+    one reference row per design go through a single network call whose
+    design path runs once per design; psi, S, CC and the training loss are
+    read off this one evaluation, which rewrites the workspace's buffers.
     """
 
     def __init__(self, model, ws, uD, Ns):
         cfg = model.config
-        n = cfg.n_active
         B, G = ws.C.shape[0], uD.shape[0]
         if ws.rows.size != B + G:
             raise ValueError(f"the workspace evaluates {ws.rows.size - B} designs, not {G}")
         self.model, self.ws, self.uD, self.group, self.Ns = model, ws, uD, ws.group, Ns
         self.alphas = alphas = model.aniso.alphas()[:len(Ns)] if Ns else ()
-        self.row_Ns = tuple(N if N.ndim == 2 else N[ws.group] for N in Ns)
         self.scale = np.repeat((1.0, 1.0) + alphas, 2)
         self.Iref = tc.reference_invariants(Ns) * self.scale
-        self.Iu = tc.invariants(ws, self.row_Ns)
-        self.Bu = ws.invariant_bases(self.row_Ns)
-        self.X = np.vstack([self.Iu * self.scale, np.broadcast_to(self.Iref, (G, n))])
+        self.Bu, self.X = ws.invariant_bases(Ns, self.scale, self.Iref)
         psi, g, ws.cache = picnn.value_and_grad(model.net, self.X, uD, return_cache=True,
                                                 group=ws.rows, out=ws.cache)
         self.psi_net, self.g = psi[:B], g[:B]
@@ -357,7 +355,7 @@ class _Evaluation:
         return out
 
     def stress(self):
-        B, n = self.Iu.shape
+        B, n = self.Bu.shape[:2]
         c = self.coefficients() * self.scale
         return 2.0 * (c[:, None, :] @ self.Bu.reshape(B, n, 9)).reshape(B, 3, 3)
 
@@ -371,7 +369,7 @@ class _Evaluation:
         block overwrites.
         """
         ws = self.ws
-        B, n = self.Iu.shape
+        B, n = self.Bu.shape[:2]
         H = picnn.hess_inputs(self.model.net, self.X, self.uD, cache=ws.cache)[:B]
         H[:, 2, 2] += growth_curvature(ws.J, self.model.config.gamma)
         rows = picnn.HESS_ROWS
@@ -384,8 +382,9 @@ class _Evaluation:
             B6b = tc.sym_to_6(self.Bu[b], out=B6[:k])
             B6b *= self.scale[:, None]
             Mb = np.matmul(B6b.transpose(0, 2, 1), np.matmul(H[b], B6b, out=HB6[:k]), out=M[:k])
+            Ns = tuple(N if N.ndim == 2 else N[self.group[b]] for N in self.Ns)
             Mb += tc.curvature_66(tc.CWorkspace(ws.C[b], ws.cof[b], ws.det[b], ws.J[b], ws.Cinv[b]),
-                                  c[b], tuple(N if N.ndim == 2 else N[b] for N in self.row_Ns))
+                                  c[b], Ns)
             Mb *= 4.0
             yield b, Mb
 
@@ -476,7 +475,7 @@ def tangent(model, C, D, structure=None, with_sn=True, return_stress=False):
     stress normalization.
     """
     ev, single = _evaluate(model, C, D, structure)
-    M = np.empty((ev.Iu.shape[0], 6, 6))
+    M = np.empty((ev.Bu.shape[0], 6, 6))
     for b, Mb in ev.tangent_blocks(with_sn):
         M[b] = Mb
     if not return_stress:
@@ -502,12 +501,18 @@ class Workspace(tc.CWorkspace):
     Buffers, overwritten by each evaluation: ``cache``, the picnn cache
     holding the network's x path and hess_inputs' buffers, and ``Bu``, the
     (B, n, 3, 3) basis stack, whose four isotropic slots are computed once
-    from C and whose anisotropic slots are rewritten for the current
-    structure tensors. No array a public function returns aliases either.
+    from C. No array a public function returns aliases either.
+
+    Held: Bu's anisotropic slots and the network rows ``X`` (B + G, n), the
+    scaled invariants then one reference row per design, of the last
+    evaluation, and ``key``, the bits of the unit structure tensors and
+    column scale (the activities) they were built for. An evaluation under
+    the same key builds neither: a known-class training run, or a design
+    inversion without a free orientation, builds them once.
 
     refill overwrites the C-workspace and Bu's isotropic slots with those of
-    new metrics, so one Workspace serves a sequence of C (the iterations of
-    a Newton solve) without allocating them again.
+    new metrics and drops the held rows, so one Workspace serves a sequence
+    of C (the iterations of a Newton solve) without allocating them again.
     """
 
     group: np.ndarray
@@ -518,18 +523,34 @@ class Workspace(tc.CWorkspace):
     scatter: object = None
     cache: object = None
     Bu: np.ndarray | None = None
+    X: np.ndarray | None = None
+    key: tuple | None = None
 
-    def invariant_bases(self, Ns):
-        """tc.invariant_bases of the samples for the active tensors Ns, in the Bu buffer."""
-        fresh = self.Bu is None or self.Bu.shape[1] != 4 + 2 * len(Ns)
-        self.Bu = tc.invariant_bases(self, Ns) if fresh else tc.anisotropic_bases(self, Ns, self.Bu)
-        return self.Bu
+    def invariant_bases(self, Ns, scale, Iref):
+        """(Bu, X) of the samples for the unit tensors Ns and column scale, held under their key.
+
+        Bu is their tc.invariant_bases and X their tc.invariants times scale
+        on one Iref row per design, design g's tensor of a (G, 3, 3) stack
+        going to its samples. The key compares bits, signed zeros included.
+        """
+        key = tuple((N.shape, N.tobytes()) for N in Ns), scale.tobytes()
+        if key != self.key:
+            row_Ns = tuple(N if N.ndim == 2 else N[self.group] for N in Ns)
+            fresh = self.Bu is None or self.Bu.shape[1] != scale.size
+            self.Bu = (tc.invariant_bases(self, row_Ns) if fresh
+                       else tc.anisotropic_bases(self, row_Ns, self.Bu))
+            G = self.rows.size - self.group.size
+            self.X = np.vstack([tc.invariants(self, row_Ns) * scale,
+                                np.broadcast_to(Iref, (G, scale.size))])
+            self.key = key
+        return self.Bu, self.X
 
     def refill(self, C):
         """Take the (B, 3, 3) metrics C in place of the samples' own, in the buffers; returns self."""
         tc.c_workspace(C, out=self)
         if self.Bu is not None:
             tc.isotropic_bases(self, self.Bu)
+        self.X = self.key = None
         return self
 
 

@@ -14,7 +14,9 @@ evaluates each generation as one surrogate call over all candidates.
 Nelder-Mead is sequential and evaluates one point at a time.
 
 invert_design factors C once and holds one energy.tiled_workspace per
-candidate count for all its generations; a generation builds its
+candidate count for all its generations. Without a free orientation it
+resolves the model's structure tensors once, so each workspace builds its
+invariants and network rows once; with one, a generation builds its
 candidates' structure tensors in one batched call.
 """
 
@@ -408,11 +410,12 @@ def invert_design(model, C, S_obs, d_bounds=None, method="cma", restarts=5, seed
     n_extrapolated = 0
     # one held workspace of C tiled per candidate count, for every generation of this call
     workspace = functools.cache(lambda k: energy.tiled_workspace(cw, k))
+    fixed = None if fit_orientation else energy._resolve_structure(model)
 
     def mismatch(X):
         """Stress mismatch of the k candidate rows of X, (k,), from one surrogate call."""
         nonlocal n_extrapolated
-        structure = tc.structure_tensors(X[:, m], X[:, m + 1 : m + 4])[:2] if fit_orientation else None
+        structure = tc.structure_tensors(X[:, m], X[:, m + 1 : m + 4])[:2] if fit_orientation else fixed
         f = stress_mismatch(model, workspace(len(X)), S_obs, X[:, :m], structure=structure)
         n_extrapolated += int(np.count_nonzero(energy.extrapolating(model, X[:, :m])))
         return f

@@ -10,7 +10,8 @@ thread counts, print the same lines exactly when those results are bitwise
 equal, so a change that claims bitwise outputs is checked by running this on
 its parent and on itself. The beam solve, the patch test and the orientation
 fit use the seed-5 settings of bench/workloads.py; the discovery run and the
-design inversion are that file's settings at smaller sizes.
+two inversions (design only, and design with a free orientation on the beams'
+surrogate) are that file's settings at smaller sizes.
 """
 
 import hashlib
@@ -86,6 +87,18 @@ def surrogate():
                                                           seed=SEED)).model
 
 
+def orientation_inversion(model):
+    """CMA-ES recovery of the surrogate's own design and a free orientation, at a small budget."""
+    rng = np.random.default_rng(SEED)
+    F = np.eye(3) + 0.1 * rng.uniform(-1.0, 1.0, size=(20, 3, 3))
+    C = np.einsum("bki,bkj->bij", F, F)
+    S = energy.stress(model, C, rng.uniform([1.5, 3.5], [4.5, 6.5]))
+    res = inverse.invert_design(model, C, S, method="cma", seed=0, restarts=2, max_evals=200,
+                                free_orientation=True)
+    return digest(res.D, res.objective, [(x, f) for x, f, _ in res.restarts],
+                  res.orientation["phi"], res.orientation["axis"])
+
+
 def beam_config(divisions):
     D = np.random.default_rng(SEED).uniform([2.0, 4.0], [4.0, 6.0])
     return fem.FemConfig(BEAM_LENGTHS, divisions, u0=0.1, n_steps=2, tol=1e-12, D=D)
@@ -148,6 +161,7 @@ def main():
     print("cut-back", state_digest(stretched_patch()))
     print("warm-fallback", state_digest(warm_fallback()))
     print("warm-into-cut", state_digest(stretched_patch(fem._AssemblyWorkspace())))
+    print("orientation-inversion", orientation_inversion(model))
 
 
 if __name__ == "__main__":

@@ -763,9 +763,16 @@ def _wide_dataset(path, trans_dataset):
      "checkpoint expects 2 design parameters, target dataset has 3"),
     (["study-samples", "--model", "neo-hookean", "--sizes", "5,0"], 2,
      "--sizes entries must be positive"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--lengths", "4,1,,1"], 2,
+     "--lengths must be comma-separated numbers, got '4,1,,1'"),
+    (["fem", "--model", "{iso}", "--d", "3,3", "--lengths", "4,1,1,"], 2,
+     "--lengths must be comma-separated numbers, got '4,1,1,'"),
+    (["fem", "--model", "{iso}", "--d", "3,,5"], 2,
+     "--d must be comma-separated numbers, got '3,,5'"),
 ], ids=["threads=0", "threads-0", "config-unreadable", "config-malformed", "lengths-not-numbers",
         "lengths-count", "divisions-not-integers", "divisions-count", "class-unknown",
-        "class-for-neo-hookean", "model-unknown", "d-missing", "grid-0", "design-width", "sizes-0"])
+        "class-for-neo-hookean", "model-unknown", "d-missing", "grid-0", "design-width", "sizes-0",
+        "lengths-empty-entry", "lengths-trailing-comma", "d-empty-entry"])
 def test_a_bad_input_exits_with_its_code_and_message(root, iso_ckpt, trans_ckpt, trans_dataset,
                                                      tmp_path, capsys, argv, code, message):
     headless = tmp_path / "headless.ini"

@@ -18,5 +18,5 @@ def test_digests_agree_across_hash_seeds_and_blas_threads():
                                                  OPENBLAS_NUM_THREADS=threads))
             for seed, threads in (("1", "1"), ("2", "2"))]
     assert [run.returncode for run in runs] == [0, 0], "".join(run.stderr for run in runs)
-    assert len(runs[0].stdout.splitlines()) == 8
+    assert len(runs[0].stdout.splitlines()) == 9
     assert runs[0].stdout == runs[1].stdout

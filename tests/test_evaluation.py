@@ -12,8 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anisoforge import energy, fem, inverse, picnn, tensor_core as tc
+from anisoforge import datagen, energy, fem, inverse, picnn, tensor_core as tc, training
 from util import rand_spd
 
 MODES = ("polyconvex", "nonpoly_linearC", "unconstrained")
@@ -502,6 +503,110 @@ def test_each_evaluation_checks_its_network_inputs_once(monkeypatch):
     res = fem.assemble(mesh, mesh.quadrature, m, np.array([2.0, 3.0]), u, with_tangent=True)
     assert res.K is not None
     assert len(calls) == 1
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of module.name."""
+    calls = []
+
+    def counted(*args, _inner=getattr(module, name), **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_design_only_inversion_builds_its_rows_once_per_candidate_count(monkeypatch):
+    """C, orientation and activities stay the same for a design-only inversion, so its
+    held workspace builds the invariants once for all 40 generations of two restarts."""
+    rng = np.random.default_rng(36)
+    m = model_for("polyconvex", "ortho")
+    C = rand_spd(rng, 8)
+    S = energy.stress(m, C, np.array([2.0, 3.0]))
+    calls = count_calls(monkeypatch, tc, "invariants")
+    res = inverse.invert_design(m, C, S, d_bounds=[[1.0, 5.0], [1.0, 5.0]], restarts=2,
+                                max_evals=120, options={"popsize": 6, "tol_x": 0.0})
+    assert res.n_evals == 240  # 40 generations of 6 candidates
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("discovery, builds", [(False, 1), (True, 30)])
+def test_training_builds_its_rows_once_per_orientation_and_activities(monkeypatch, discovery,
+                                                                      builds):
+    """A known-class run holds its orientation and activities, so 30 epochs build the
+    invariants once; a discovery run moves both every epoch and builds them every epoch."""
+    rng = np.random.default_rng(37)
+    C = rand_spd(rng, 12)
+    D = rng.uniform(1.0, 5.0, (3, 2))[np.arange(12) % 3]
+    ds = datagen.Dataset(D, C, 0.1 * C, ["c1", "c2"])
+    net = {"width_x": 5, "width_y": 4, "depth": 2, "seed": 3}
+    m = (training.model_for_discovery(2, **net) if discovery
+         else training.model_for_known_class(2, "ortho", **net))
+    calls = count_calls(monkeypatch, tc, "invariants")
+    training.train(m, ds, training.TrainConfig(epochs=30, log_every=10))
+    assert len(calls) == builds
+
+
+HELD_STEPS = ("same", "new", "earlier", "stack", "alpha", "in-place", "refill")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(steps=st.lists(st.sampled_from(HELD_STEPS), min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_held_rows_match_a_fresh_workspace_bit_for_bit(steps, seed):
+    """One training workspace and one tiled workspace, held through a sequence of
+    orientations, per-design stacks, activities, in-place parameter changes and new C,
+    give after each step the bits of a fresh workspace: the stresses per design, the
+    loss and its gradients, and the tangent blocks of both."""
+    rng = np.random.default_rng(seed)
+    m = model_for("polyconvex", "ortho")
+    B, G = 6, 3
+    C = rand_spd(rng, B)
+    D = rng.uniform(1.0, 5.0, (G, 2))
+    Dp, S_true = D[np.arange(B) % G], 0.1 * C
+    plain = energy.make_workspace(m, C, Dp, S_true)
+    tiled = energy.tiled_workspace(C, G)
+    seen, stack = [(m.aniso.phi, m.aniso.p_raw.copy())], None
+
+    def tangents(ws, uD, Ns):
+        return [M.tobytes() for _, M in energy._Evaluation(m, ws, uD, Ns).tangent_blocks()]
+
+    for step in steps:
+        if step == "new":
+            m.aniso.phi, m.aniso.p_raw = rng.uniform(0.0, np.pi), rng.uniform(-1.0, 1.0, 3)
+            seen.append((m.aniso.phi, m.aniso.p_raw.copy()))
+            stack = None
+        elif step == "earlier":
+            phi, p_raw = seen[rng.integers(len(seen))]
+            m.aniso.phi, m.aniso.p_raw, stack = phi, p_raw.copy(), None
+        elif step == "stack":
+            stack = tc.structure_tensors(rng.uniform(0.0, np.pi, G), rng.uniform(-1.0, 1.0, (G, 3)))[:2]
+        elif step == "alpha":
+            m.aniso.alpha_bar = rng.normal(size=2)
+        elif step == "in-place":
+            which = rng.integers(3)
+            if which == 0:
+                m.aniso.phi += 0.1
+            else:
+                (m.aniso.p_raw if which == 1 else m.aniso.alpha_bar)[rng.integers(2)] += 0.1
+        elif step == "refill":
+            C = rand_spd(rng, B)
+            S_true[:] = 0.1 * C
+            plain.refill(C)
+            tiled.refill(np.tile(C, (G, 1, 1)))
+        fresh_plain, fresh_tiled = energy.make_workspace(m, C, Dp, S_true), energy.tiled_workspace(C, G)
+        S = energy.stress_per_design(m, tiled, D, structure=stack)
+        assert S.tobytes() == energy.stress_per_design(m, fresh_tiled, D, structure=stack).tobytes()
+        Ns = energy._resolve_structure(m, stack, G)
+        assert tangents(tiled, D, Ns) == tangents(fresh_tiled, D, Ns)
+        got, ref = (energy.loss_and_param_gradients(m, ws) for ws in (plain, fresh_plain))
+        assert got.loss == ref.loss
+        for a, b in zip((got.dalpha_bar, got.dphi, got.dp_raw, *got.dnet.values()),
+                        (ref.dalpha_bar, ref.dphi, ref.dp_raw, *ref.dnet.values())):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        Ns = energy._resolve_structure(m)
+        assert tangents(plain, plain.uD, Ns) == tangents(fresh_plain, plain.uD, Ns)
 
 
 # ---------------------------------------------------------------------------
