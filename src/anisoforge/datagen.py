@@ -179,16 +179,15 @@ def _random_rotations(rng, n):
     return Q
 
 
-def dedupe_invariant_space(C, aniso_class, tol=1e-8, directions=None):
+def dedupe_invariant_space(C, aniso_class, tol=1e-8):
     """Indices of first-seen representatives in invariant space.
 
     Two samples are duplicates when their invariant vectors (activity
-    factors at 1, given or default directions) agree within tol in the
-    infinity norm. Order-preserving, first occurrence wins.
+    factors at 1, the generator's directions tc.DEFAULT_N1, tc.DEFAULT_N2)
+    agree within tol in the infinity norm. Order-preserving, first wins.
     """
     C = np.asarray(C, dtype=float)
-    n1, n2 = (tc.DEFAULT_N1, tc.DEFAULT_N2) if directions is None else directions
-    Ns = [np.outer(n, n) for n in (n1, n2)][: energy.N_DIRECTIONS[aniso_class]]
+    Ns = [np.outer(n, n) for n in (tc.DEFAULT_N1, tc.DEFAULT_N2)][: energy.N_DIRECTIONS[aniso_class]]
     I = tc.invariants(C, Ns)
     kept = []
     for i in range(I.shape[0]):

@@ -152,10 +152,10 @@ class AnisotropyState:
         return copy.deepcopy(self)
 
     @staticmethod
-    def from_directions(n1, n2, trainable=False):
+    def from_directions(n1, n2):
         R = tc.rotation_from_direction_pair(n1, n2)
         phi, p = tc.axis_angle_from_rotation(R)
-        return AnisotropyState(None, phi, p, False, trainable)
+        return AnisotropyState(None, phi, p)
 
 
 @dataclass
@@ -424,13 +424,13 @@ def normalization_coefficients(model, D, structure=None):
     return _Evaluation(model, no_samples, D, _resolve_structure(model, structure)).nc
 
 
-def psi(model, C, D, structure=None, check=False):
+def psi(model, C, D, structure=None):
     """Total energy density for a batch (or a single pair) of (C, D).
 
     C may also be a tc.CWorkspace; D holds one design row per C or a single
     row shared by all of them.
     """
-    ev, single = _evaluate(model, C, D, structure, check)
+    ev, single = _evaluate(model, C, D, structure)
     out = ev.psi()
     return float(out[0]) if single else out
 
@@ -707,8 +707,8 @@ def load_model(path):
     """Load a checkpoint written by save_model.
 
     Raises ValueError, naming the field, for an entry that is missing or
-    whose JSON type or shape is wrong. Numbers may be non-finite, so the
-    checkpoint of a diverged run loads as written.
+    whose JSON type or shape is wrong, or a d_bounds row with lo > hi.
+    Numbers may be non-finite: the checkpoint of a diverged run loads as written.
     """
     with open(path) as f:
         payload = json.load(f)
@@ -794,5 +794,7 @@ def _model_from(payload):
             _entry(aniso, "trainable_orientation", "a boolean", "aniso.trainable_orientation"),
         )
     d_bounds = _array(payload, "d_bounds", (net.n_design, 2), nullable=True)
+    if d_bounds is not None and np.any(d_bounds[:, 0] > d_bounds[:, 1]):  # False for NaN
+        raise ValueError(f"d_bounds must have lo <= hi in each row, not {d_bounds.tolist()}")
     meta = _entry(payload, "meta", "an object") if "meta" in payload else {}
     return Model(net, cfg, aniso, d_bounds, meta)

@@ -117,9 +117,9 @@ def shape_gradients(xi):
     return N, dN
 
 
-def face_nodes(mesh, axis, value, tol=1e-9):
-    """Indices of nodes lying on the plane coordinate[axis] == value."""
-    return np.flatnonzero(np.abs(mesh.nodes[:, axis] - value) < tol)
+def face_nodes(mesh, axis, value):
+    """Indices of nodes lying on the plane coordinate[axis] == value, to within 1e-9."""
+    return np.flatnonzero(np.abs(mesh.nodes[:, axis] - value) < 1e-9)
 
 
 def dofs_of(nodes, components=(0, 1, 2)):
@@ -541,17 +541,17 @@ def band_plan(quad, free):
     return BandPlan(order, bandwidth, src[upper], dest)
 
 
-def stretch_bc(mesh, stretch, axis=0):
-    """Clamp the axis=0 face and pull the opposite face to the given stretch.
+def stretch_bc(mesh, stretch):
+    """Clamp the x=0 face and pull the opposite face along x to the given stretch.
 
     The clamped face is fully fixed; on the pulled face only the axial
     component is prescribed, leaving lateral contraction free. Returns
     (bc_dofs, bc_values).
     """
-    length = mesh.nodes[:, axis].max()
-    fixed = face_nodes(mesh, axis, 0.0)
-    pulled = face_nodes(mesh, axis, length)
-    bc_dofs = np.concatenate([dofs_of(fixed), 3 * pulled + axis])
+    length = mesh.nodes[:, 0].max()
+    fixed = face_nodes(mesh, 0, 0.0)
+    pulled = face_nodes(mesh, 0, length)
+    bc_dofs = np.concatenate([dofs_of(fixed), 3 * pulled])
     bc_values = np.concatenate([np.zeros(3 * fixed.size), np.full(pulled.size, (stretch - 1.0) * length)])
     return bc_dofs, bc_values
 
@@ -592,6 +592,9 @@ class FemConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if (self.phi is None) != (self.p_raw is None):
             raise ValueError("an orientation override takes both phi and the rotation axis p_raw")
+        p = None if self.p_raw is None else np.asarray(self.p_raw)
+        if p is not None and (p.shape != (3,) or p.dtype.kind not in "iuf" or not np.all(np.isfinite(p))):
+            raise ValueError(f"p_raw must hold 3 finite numbers, got {self.p_raw}")
 
     def structure(self):
         return None if self.phi is None else tc.structure_tensors(self.phi, self.p_raw)

@@ -268,7 +268,7 @@ def nelder_mead(f, x0, step=0.1, bounds=None, max_evals=10000, f_target=None, to
                           len(history), stop, history)
 
 
-def fit_direction(N_target, x0=(1.0, 0.0, 0.0), tol=1e-12, max_evals=5000):
+def fit_direction(N_target, x0=(1.0, 0.0, 0.0)):
     """Unit direction whose structure tensor best matches N_target.
 
     Minimizes ||n(x) (x) n(x) - N_target||_F^2 over unnormalized coordinates
@@ -284,8 +284,7 @@ def fit_direction(N_target, x0=(1.0, 0.0, 0.0), tol=1e-12, max_evals=5000):
         n = x / norm
         return float(np.sum((np.outer(n, n) - N_target) ** 2))
 
-    res = nelder_mead(objective, np.asarray(x0, dtype=float), step=0.1, tol=tol,
-                      max_evals=max_evals)
+    res = nelder_mead(objective, np.asarray(x0, dtype=float), step=0.1, tol=1e-12, max_evals=5000)
     return res.x / np.linalg.norm(res.x), res
 
 

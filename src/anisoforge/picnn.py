@@ -153,19 +153,15 @@ def init_params(n_inv, n_design, width_x=40, width_y=30, depth=3, constrained=Tr
             return rng.uniform(0.3, 1.0, size=shape) / s
         return rng.uniform(-1.0 / s, 1.0 / s, size=shape)
 
+    params = PicnnParams(n_inv, n_design, width_x, width_y, depth, constrained)
+    shapes = params.weight_shapes()
     # insertion order (the checkpoint's key order) follows the draws
-    w = {}
-    for h in range(depth):
-        in_y = n_design if h == 0 else width_y
-        in_x = n_inv if h == 0 else width_x
-        w[f"Wyy{h}"] = draw((width_y, in_y))
-        w[f"by{h}"] = np.zeros(width_y)
-        w[f"Wxx{h}"] = draw((width_x, in_x), squared=True)
-        w[f"Wxy{h}"] = draw((width_x, width_y))
-        w[f"bx{h}"] = np.zeros(width_x)
-    w["wout"] = draw((width_x,), squared=True)
-    w["bout"] = np.zeros(1)
-    return PicnnParams(n_inv, n_design, width_x, width_y, depth, constrained, w)
+    names = [f"{k}{h}" for h in range(depth) for k in ("Wyy", "by", "Wxx", "Wxy", "bx")]
+    for name in names + ["wout", "bout"]:
+        shape = shapes[name]
+        params.weights[name] = (np.zeros(shape) if name[0] == "b"
+                                else draw(shape, squared=name.startswith(("Wxx", "wout"))))
+    return params
 
 
 def _check_inputs(params, X, Y, group=None):

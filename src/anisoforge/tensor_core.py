@@ -147,13 +147,13 @@ def inv_sym(C):
     return cof / det[..., None, None]
 
 
-def is_spd(C, tol=0.0):
+def is_spd(C):
     """True when symmetric C is positive definite (checked by leading minors)."""
     C = np.asarray(C, dtype=float)
     m1 = C[..., 0, 0]
     m2 = C[..., 0, 0] * C[..., 1, 1] - C[..., 0, 1] ** 2
     m3 = det_sym(C)
-    return (m1 > tol) & (m2 > tol) & (m3 > tol)
+    return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)
 
 
 def check_metric(C, name="C"):

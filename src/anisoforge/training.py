@@ -79,18 +79,15 @@ class TrainingDiverged(RuntimeError):
 class Adam:
     """Standard Adam over a name -> array dict, in place; a vector steps as its slices would."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, g in grads.items():
@@ -103,7 +100,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            params[name] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            params[name] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
     def state(self):
         return {
@@ -259,8 +256,7 @@ def _log_epoch(history, writer, model, epoch, total):
 # model setup for the two training regimes
 
 
-def model_for_discovery(n_design, mode="polyconvex", gamma=1.0, seed=0,
-                        phi0=0.6, axis0=(0.3, 0.2, 0.9), **net_kwargs):
+def model_for_discovery(n_design, mode="polyconvex", gamma=1.0, seed=0, **net_kwargs):
     """Fresh model with both activity factors and the orientation trainable.
 
     Starts from the full invariant set (ortho width) with activity logits at
@@ -269,8 +265,8 @@ def model_for_discovery(n_design, mode="polyconvex", gamma=1.0, seed=0,
     """
     aniso = energy.AnisotropyState(
         alpha_bar=np.zeros(2),
-        phi=phi0,
-        p_raw=np.asarray(axis0, dtype=float),
+        phi=0.6,
+        p_raw=np.array([0.3, 0.2, 0.9]),
         trainable_alpha=True,
         trainable_orientation=True,
     )
@@ -279,13 +275,13 @@ def model_for_discovery(n_design, mode="polyconvex", gamma=1.0, seed=0,
 
 
 def model_for_known_class(n_design, aniso_class, mode="polyconvex", gamma=1.0, seed=0,
-                          n1=None, n2=None, trainable_orientation=False, **net_kwargs):
-    """Fresh model with the class fixed: activity logits absent from the graph."""
+                          n1=None, n2=None, **net_kwargs):
+    """Fresh model with the class and orientation fixed: activity logits absent from the graph."""
     aniso = None
     if aniso_class != "iso":
         R_cols = (tc.DEFAULT_N1 if n1 is None else np.asarray(n1, dtype=float),
                   tc.DEFAULT_N2 if n2 is None else np.asarray(n2, dtype=float))
-        aniso = energy.AnisotropyState.from_directions(*R_cols, trainable=trainable_orientation)
+        aniso = energy.AnisotropyState.from_directions(*R_cols)
     return energy.new_model(n_design, mode=mode, aniso_class=aniso_class, gamma=gamma,
                             seed=seed, aniso=aniso, **net_kwargs)
 
@@ -294,26 +290,28 @@ def model_for_known_class(n_design, aniso_class, mode="polyconvex", gamma=1.0, s
 # post-training analysis
 
 
-def loss(model, dataset, eps=0.0, p=0.25):
-    """The training objective at the current parameters, without gradients."""
+def loss(model, dataset, eps=0.0):
+    """Unweighted data loss plus the penalty of weight eps at the default exponent
+    TrainConfig.p, whatever normalize_components or p a run used; no gradients."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     S_hat = energy.stress(model, dataset.C, dataset.D)
     res = S_hat - dataset.S
     data_loss = float(np.mean(np.einsum("bij,bij->b", res, res)))
-    return data_loss + _alpha_penalty(model.aniso, eps, p)[0]
+    return data_loss + _alpha_penalty(model.aniso, eps, TrainConfig.p)[0]
 
 
-def classify(model, active=ACTIVE_THRESHOLD, inactive=INACTIVE_THRESHOLD):
+def classify(model):
     """Anisotropy class read off the trained activity factors.
 
-    iso when both factors fall below the inactive threshold, transiso when
-    exactly one exceeds the active threshold and the other is inactive,
-    ortho when both exceed it; anything else is indeterminate.
+    iso when both factors fall below INACTIVE_THRESHOLD, transiso when
+    exactly one exceeds ACTIVE_THRESHOLD and the other is inactive, ortho
+    when both exceed it; anything else is indeterminate.
     """
     if model.aniso is None or model.aniso.alpha_bar is None:
         return model.config.aniso_class
     a1, a2 = model.aniso.alphas()
+    active, inactive = ACTIVE_THRESHOLD, INACTIVE_THRESHOLD
     if a1 < inactive and a2 < inactive:
         return "iso"
     if a1 > active and a2 > active:
@@ -323,11 +321,12 @@ def classify(model, active=ACTIVE_THRESHOLD, inactive=INACTIVE_THRESHOLD):
     return "indeterminate"
 
 
-def extract_directions(model, active=ACTIVE_THRESHOLD):
+def extract_directions(model):
     """Unit directions of the active structure tensors, as (label, vector).
 
     N_i = r_i r_i^T is built from the rotation columns r_i = R e_i, so the
-    directions are those columns; inactive factors contribute nothing.
+    directions are those columns; factors whose activity does not exceed
+    ACTIVE_THRESHOLD contribute nothing.
     """
     if model.aniso is None:
         return []
@@ -335,4 +334,4 @@ def extract_directions(model, active=ACTIVE_THRESHOLD):
     found = [("n1", R[:, 0].copy()), ("n2", R[:, 1].copy())]
     if model.aniso.alpha_bar is None:
         return found[: energy.N_DIRECTIONS[model.config.aniso_class]]
-    return [d for d, a in zip(found, model.aniso.alphas()) if a > active]
+    return [d for d, a in zip(found, model.aniso.alphas()) if a > ACTIVE_THRESHOLD]

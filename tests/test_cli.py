@@ -702,6 +702,23 @@ def test_a_malformed_checkpoint_field_exits_4_and_is_named(root, trans_ckpt, tmp
     assert "cannot load checkpoint" in err and f"{field} must be" in err
 
 
+@pytest.mark.parametrize("command", ["probe-isotropy", "invert"])
+def test_a_checkpoint_whose_design_bounds_run_backward_exits_4(root, trans_ckpt, trans_dataset,
+                                                               tmp_path, capsys, command):
+    payload = json.loads(trans_ckpt.read_text())
+    payload["d_bounds"] = [[5.0, 1.0], [3.0, 7.0]]
+    bad = tmp_path / "backward.json"
+    bad.write_text(json.dumps(payload))
+    inputs = ["--d", "3.0,5.0"] if command == "probe-isotropy" else ["--data", trans_dataset]
+    rc = run_cli(command, "--model", bad, *inputs, "--runs-root", root, "--run", "backward")
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and "d_bounds must have lo <= hi" in err
+    payload["d_bounds"] = [[float("nan"), 1.0], [3.0, 7.0]]
+    bad.write_text(json.dumps(payload))
+    cli._read_checkpoint(bad)  # a diverged checkpoint loads as written
+
+
 def test_checkpoints_round_trip_byte_for_byte(root, iso_ckpt, trans_ckpt, tmp_path, capsys):
     """The field checks change nothing a valid checkpoint loads into."""
     for path in (iso_ckpt, trans_ckpt):

@@ -1019,6 +1019,12 @@ def test_fem_config_names_a_malformed_geometry_field(field, value):
         fem.FemConfig(**{field: value})
 
 
+@pytest.mark.parametrize("p_raw", [[1.0, 0.0], [1.0, np.nan, 0.0], [[1.0, 0.0, 0.0]], ["x", "y", "z"]])
+def test_fem_config_names_a_malformed_rotation_axis(p_raw):
+    with pytest.raises(ValueError, match="^p_raw must hold 3 finite numbers"):
+        fem.FemConfig(phi=0.3, p_raw=p_raw)
+
+
 def test_quadrature_rejects_nan_jacobians():
     mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
     mesh.nodes[-1, 0] = np.nan
