@@ -257,6 +257,14 @@ def write_json(path, payload):
         f.write("\n")
 
 
+def _write_series(path, header, series):
+    """A CSV of (count, value) rows under the two-name header, values to 10 digits."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([count, f"{value:.10e}"] for count, value in series)
+
+
 # ---------------------------------------------------------------------------
 # shared parsing and loading helpers
 
@@ -622,11 +630,7 @@ def cmd_fem_invert(args, run, sections):
     )
 
     for k, trace in enumerate(fit.traces):
-        with open(run / "logs" / f"trace_restart_{k}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["evals", "best_objective"])
-            for evals, fval in trace:
-                writer.writerow([evals, f"{fval:.10e}"])
+        _write_series(run / "logs" / f"trace_restart_{k}.csv", ("evals", "best_objective"), trace)
 
     write_json(run / "reports" / "orientation.json", fit.report())
     if fit.insensitive:
@@ -670,11 +674,8 @@ def cmd_study_samples(args, run, sections):
         ds = datagen.build_dataset(_data_config(sections["data"], n_f=size))
         model = _fresh_model(sections["train"], ds.D.shape[1])
         result = training.train(model, ds, cfg)
-        with open(run / "logs" / f"loss_n{size}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "loss"])
-            for epoch, value in enumerate(result.history["loss"]):
-                writer.writerow([epoch, f"{value:.10e}"])
+        _write_series(run / "logs" / f"loss_n{size}.csv", ("epoch", "loss"),
+                      enumerate(result.history["loss"]))
         final_losses[str(size)] = result.final_loss
         print(f"n_f={size}: {len(ds)} records, final loss {result.final_loss:.6e}")
 

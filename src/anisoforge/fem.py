@@ -15,12 +15,13 @@ residual check fails, just before the linear solve, so the iteration
 that confirms convergence builds none. The assemblies of one solve share
 one workspace, whose buffers each of them overwrites.
 
-A solve walks one load loop over its ramps: one full-load step from a
-held displacement, if there is one, then the cold ramp from zero, whose
-failed load steps are retried from their last converged state with the
-increment halved, to a fixed depth. An attempt whose linear solves fell
-back to a general solve (below) warns once, prefixed "discarded Newton
-attempt: " if it failed; extrapolation warnings are never prefixed.
+A solve walks its ramps in turn: one full-load step from a held
+displacement, if there is one, then the cold ramp from zero. Each ramp is
+one loop whose every pass is a Newton attempt; a failed one is retried
+from the last converged state with the increment halved, to a fixed depth
+per load step. An attempt whose linear solves fell back to a general
+solve (below) warns once, prefixed "discarded Newton attempt: " if it
+failed; extrapolation warnings are never prefixed.
 
 K is sparse: a mesh holds its quadrature data and K's CSC pattern, built
 on first use, and each assembly scatters the element matrices onto its
@@ -358,11 +359,12 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     """Displacement-driven Newton solve with uniform load stepping.
 
     bc_dofs are flat dof indices held at bc_values (ramped linearly over the
-    steps); all remaining dofs are free and carry no external load. A load
-    step whose Newton loop fails (no convergence within max_iter
+    steps); all remaining dofs are free and carry no external load. Each
+    pass of a ramp's loop is one Newton attempt at the converged load plus
+    the increment. A failed attempt (no convergence within max_iter
     iterations, a non-finite residual, tangent or network input, a residual
     above DIVERGED times the attempt's first, or a singular linear solve)
-    restarts from the last converged displacement with its increment
+    is retried from the last converged displacement with the increment
     halved, at most CUTBACK_DEPTH times per load step.
     newton_norms holds one list of residual norms per converged increment,
     in order: n_steps lists when no step was cut back, one more per cut;
@@ -371,15 +373,15 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     failed; extrapolation warnings are never prefixed. Raises ValueError
     for a tolerance that is not finite and positive or a step or iteration
     count below 1, and RuntimeError if a load step still fails at the
-    smallest increment.
+    smallest increment, naming that attempt's load step, the iterations it
+    ran and its last residual.
 
     _workspace is an _AssemblyWorkspace held by a caller that solves the
     same mesh with the same bc_dofs many times (invert_orientation): its
     band plan and buffers serve every solve. When it holds the displacement
-    of an earlier converged solve, the load loop first walks a warm ramp
-    from there: the full load in one step, with no cuts. It walks the cold
-    ramp from zero only if that fails. None gives a throwaway one, so the
-    solve starts cold.
+    of an earlier converged solve, the solve first walks a warm ramp from
+    there: the full load in one step, with no cuts, and the cold ramp from
+    zero only if that fails. None gives a throwaway one: a cold start.
     """
     bc_dofs = np.asarray(bc_dofs, dtype=int)
     bc_values = np.asarray(bc_values, dtype=float)
@@ -407,36 +409,34 @@ def solve_displacement(mesh, model, D, bc_dofs, bc_values, n_steps=5, tol=1e-9,
     if held.u is not None:
         ramps.insert(0, (held.u, 1, 0))
     for ramp, (start, steps, depth) in enumerate(ramps):
-        u, norms_per_step = start.copy(), []
-        for step in range(1, steps + 1):
-            converged = u.copy()
-            done, size, cuts = 0.0, 1.0, 0  # shares of the step: converged, next increment
-            while done < 1.0:
-                u[bc_dofs] = bc_values * ((step - 1 + done + size) / steps)
-                first = ramp == len(ramps) - 1 and not norms_per_step and cuts == 0
-                last = None  # the last increment's arrays go before the next is built
-                norms, fallbacks, last = _newton(mesh, quad, model, D, u, structure, held, tol,
-                                                 max_iter, first)
-                if fallbacks:
-                    prefix = "" if last is not None else "discarded Newton attempt: "
-                    warnings.warn(prefix + NOT_SPD)
-                if last is not None:
-                    done += size
-                    converged[:] = u
-                    norms_per_step.append(norms)
-                elif cuts < depth:
-                    u[:] = converged
-                    size, cuts = size / 2.0, cuts + 1
-                else:
-                    break
-            if done < 1.0:
+        u, converged, norms_per_step = start.copy(), start.copy(), []
+        load, size, cuts = 0.0, 1.0, 0  # in load steps: converged, next increment; cuts this step
+        while load < steps:  # one Newton attempt per pass
+            u[bc_dofs] = bc_values * ((load + size) / steps)
+            first = ramp == len(ramps) - 1 and load == 0.0 and cuts == 0
+            last = None  # the last increment's arrays go before the next is built
+            norms, fallbacks, last = _newton(mesh, quad, model, D, u, structure, held, tol,
+                                             max_iter, first)
+            if fallbacks:
+                prefix = "" if last is not None else "discarded Newton attempt: "
+                warnings.warn(prefix + NOT_SPD)
+            if last is not None:
+                load += size
+                converged[:] = u
+                norms_per_step.append(norms)
+                if load.is_integer():
+                    size, cuts = 1.0, 0
+            elif cuts < depth:
+                u[:] = converged
+                size, cuts = size / 2.0, cuts + 1
+            else:
                 break
         else:
             held.u = u
             return FemResult(u.reshape(-1, 3), last.F, last.S, norms_per_step, last.residual)
-    raise RuntimeError(f"Newton did not converge in load step {step} after {max_iter} "
-                       f"iterations (residual {(norms or [np.nan])[-1]:.3e}), its increment "
-                       f"halved {CUTBACK_DEPTH} times")
+    raise RuntimeError(f"Newton did not converge in load step {int(load) + 1} after "
+                       f"{len(norms)} of {max_iter} iterations (residual "
+                       f"{(norms or [np.nan])[-1]:.3e}), its increment halved {cuts} times")
 
 
 def _newton(mesh, quad, model, D, u, structure, aw, tol, max_iter, first):
@@ -592,7 +592,10 @@ class FemConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if (self.phi is None) != (self.p_raw is None):
             raise ValueError("an orientation override takes both phi and the rotation axis p_raw")
-        p = None if self.p_raw is None else np.asarray(self.p_raw)
+        try:
+            p = None if self.p_raw is None else np.asarray(self.p_raw)
+        except ValueError:  # a ragged sequence
+            p = np.empty(0)
         if p is not None and (p.shape != (3,) or p.dtype.kind not in "iuf" or not np.all(np.isfinite(p))):
             raise ValueError(f"p_raw must hold 3 finite numbers, got {self.p_raw}")
 
@@ -650,17 +653,9 @@ class OrientationFit:
     def report(self):
         if self.insensitive:
             return {"insensitive": True, "objective": self.objective}
-        return {
-            "insensitive": False,
-            "phi": self.phi,
-            "axis": self.axis.tolist(),
-            "n1": self.n1.tolist(),
-            "n2": self.n2.tolist(),
-            "objective": self.objective,
-            "restarts": [
-                {"x": x.tolist(), "objective": f, "stop": stop} for x, f, stop in self.restarts
-            ],
-        }
+        return {"insensitive": False, "objective": self.objective,
+                "restarts": inverse._restart_reports(self.restarts),
+                **inverse._orientation_report(self.phi, self.axis, self.n1, self.n2)}
 
 
 def invert_orientation(mesh, cfg, model, restarts=5, seed=0, max_evals=150, tol=1e-6):

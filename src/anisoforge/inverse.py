@@ -307,17 +307,10 @@ class InversionResult:
             "objective": self.objective,
             "n_evals": self.n_evals,
             "n_extrapolated": self.n_extrapolated,
-            "restarts": [
-                {"x": x.tolist(), "objective": f, "stop": stop} for x, f, stop in self.restarts
-            ],
+            "restarts": _restart_reports(self.restarts),
         }
         if self.orientation is not None:
-            out["orientation"] = {
-                "phi": self.orientation["phi"],
-                "axis": self.orientation["axis"].tolist(),
-                "n1": self.orientation["n1"].tolist(),
-                "n2": self.orientation["n2"].tolist(),
-            }
+            out["orientation"] = _orientation_report(**self.orientation)
         return out
 
 
@@ -334,6 +327,16 @@ def stress_mismatch(model, C, S_obs, D, structure=None):
     res = energy.stress_per_design(model, C, np.atleast_2d(D), structure=structure) - S_obs
     f = np.mean(np.einsum("gbij,gbij->gb", res, res), axis=1)
     return float(f[0]) if D.ndim == 1 else f
+
+
+def _restart_reports(restarts):
+    """Report entries of _multistart's per-restart (x, f, stop) summaries."""
+    return [{"x": x.tolist(), "objective": f, "stop": stop} for x, f, stop in restarts]
+
+
+def _orientation_report(phi, axis, n1, n2):
+    """Report entries of an _orientation_readout."""
+    return {"phi": phi, "axis": axis.tolist(), "n1": n1.tolist(), "n2": n2.tolist()}
 
 
 def _orientation_bounds():

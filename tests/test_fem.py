@@ -491,6 +491,27 @@ def test_a_non_finite_model_or_design_fails_the_solve(fault, error, match):
         fem.solve_displacement(mesh, model, D, *fem.stretch_bc(mesh, 1.1), n_steps=1)
 
 
+def test_a_failed_solve_reports_the_iterations_of_its_last_attempt():
+    """Every attempt on the NaN-weight patch stops at its first residual,
+    which is not finite: the message names that 1 iteration, not max_iter."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    model = tiny_model("iso", seed=7)
+    model.net.weights["wout"] = np.full_like(model.net.weights["wout"], np.nan)
+    with pytest.raises(RuntimeError, match=r"^Newton did not converge in load step 1 after 1 of "
+                                           r"25 iterations \(residual nan\)"):
+        fem.solve_displacement(mesh, model, np.array([2.0, 3.0]), *fem.stretch_bc(mesh, 1.1),
+                               n_steps=1)
+
+
+def test_an_iteration_limited_solve_reports_max_iter():
+    """No residual falls below 1e-300, so every attempt runs all max_iter iterations."""
+    mesh = fem.box_mesh((2.0, 1.0, 1.0), (2, 1, 1))
+    with pytest.raises(RuntimeError, match=r"in load step 1 after 3 of 3 iterations \(residual "
+                                           r"\d\.\d{3}e-\d\d\), its increment halved 4 times"):
+        fem.solve_displacement(mesh, tiny_model("iso", seed=7), np.array([2.0, 3.0]),
+                               *fem.stretch_bc(mesh, 1.1), n_steps=2, tol=1e-300, max_iter=3)
+
+
 def test_bc_validation():
     mesh = fem.box_mesh((1.0, 1.0, 1.0), (1, 1, 1))
     model = tiny_model("iso")
@@ -1023,6 +1044,11 @@ def test_fem_config_names_a_malformed_geometry_field(field, value):
 def test_fem_config_names_a_malformed_rotation_axis(p_raw):
     with pytest.raises(ValueError, match="^p_raw must hold 3 finite numbers"):
         fem.FemConfig(phi=0.3, p_raw=p_raw)
+
+
+def test_fem_config_names_a_ragged_rotation_axis():
+    with pytest.raises(ValueError, match="^p_raw must hold 3 finite numbers"):
+        fem.FemConfig(phi=0.3, p_raw=[1, [2, 3]])
 
 
 def test_quadrature_rejects_nan_jacobians():

@@ -35,6 +35,17 @@ def test_cma_rosenbrock():
     assert np.allclose(res.x, 1.0, atol=1e-2)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cma_step_size_grows_fast_from_a_tiny_sigma0(seed):
+    """From sigma0 = 1e-3 at distance 6 the step size must first grow about
+    a thousandfold. The sphere takes 936-1,088 evaluations; with the damping
+    d_sigma doubled, sigma grows more slowly and it takes 1,224-1,624."""
+    res = inverse.cma_es(sphere, np.full(4, 3.0), 1e-3, max_evals=20000, f_target=1e-10,
+                         seed=seed)
+    assert res.stop == "f_target"
+    assert res.n_evals <= 1150
+
+
 def test_cma_deterministic():
     a = inverse.cma_es(sphere, np.ones(3), 0.4, max_evals=600, seed=5)
     b = inverse.cma_es(sphere, np.ones(3), 0.4, max_evals=600, seed=5)

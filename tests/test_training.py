@@ -358,6 +358,14 @@ def test_on_plateau_logic():
     assert not training._on_plateau(falling, cfg)
 
 
+@pytest.mark.parametrize("change, plateau", [(2.0**-11, True), (2.0**-10, False),
+                                              (2.0**-8, False)])
+def test_a_plateau_is_a_relative_change_below_plateau_tol(change, plateau):
+    """Relative changes over the window of half, exactly and 4 times plateau_tol."""
+    cfg = training.TrainConfig(plateau_window=2, plateau_tol=2.0**-10)
+    assert training._on_plateau([1.0, 0.5, 1.0 - change], cfg) is plateau
+
+
 def test_component_weights_floor():
     S = np.zeros((4, 3, 3))
     S[:, 0, 0] = 10.0
